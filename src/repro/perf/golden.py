@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -35,6 +36,22 @@ GOLDEN_ACCESSES = 5000
 #: Two-core mix for the multi-core leg of the matrix.
 MULTICORE_WORKLOADS: Tuple[str, ...] = ("ligra.bfs", "spec17.lbm_stream")
 MULTICORE_ACCESSES = 2500
+
+#: Extra mixes that pin the multi-core interleaving order:
+#: (name, workloads, warmup_fraction or None for the config's default).
+#: ``self2`` runs one trace on two cores, so both clocks start tied and
+#: the core-index tie-break decides the order.
+GOLDEN_MIXES: Tuple[Tuple[str, Tuple[str, ...], Optional[float]], ...] = (
+    ("mix4", ("ligra.bfs", "spec17.lbm_stream", "spec06.mcf_chase",
+              "cvp.server_int"), None),
+    ("self2", ("ligra.bfs", "ligra.bfs"), None),
+    ("mix3-nowarmup", ("spec06.mcf_chase", "parsec.canneal",
+                       "cvp.server_db"), 0.0),
+)
+#: The (prefetcher, predictor) cells :data:`GOLDEN_MIXES` run under.
+GOLDEN_MIX_CONFIGS: Tuple[Tuple[str, Optional[str]], ...] = (
+    ("none", None), ("pythia", "popet"), ("spp", "ideal"))
+GOLDEN_MIX_ACCESSES = 2000
 
 #: Default fixture location (relative to the repo root).
 GOLDEN_PATH = Path("tests") / "golden" / "golden_stats.json"
@@ -72,12 +89,25 @@ def fingerprint_multicore(result: MultiCoreResult) -> Dict[str, object]:
     }
 
 
+def run_golden_mix(prefetcher: str, predictor: Optional[str], mix: str
+                   ) -> Tuple[str, MultiCoreResult]:
+    """Run one :data:`GOLDEN_MIXES` cell; return its fixture key and result."""
+    _, workloads, warmup = next(entry for entry in GOLDEN_MIXES
+                                if entry[0] == mix)
+    config = golden_config(prefetcher, predictor)
+    if warmup is not None:
+        config = replace(config, warmup_fraction=warmup)
+    traces = [make_trace(name, GOLDEN_MIX_ACCESSES) for name in workloads]
+    return f"multi/{config.label}/{mix}", simulate_multicore(config, traces)
+
+
 def collect_golden() -> Dict[str, object]:
     """Run the full golden matrix and return the fixture dictionary."""
     fixture: Dict[str, object] = {
         "schema": 1,
         "single_accesses": GOLDEN_ACCESSES,
         "multicore_accesses": MULTICORE_ACCESSES,
+        "mix_accesses": GOLDEN_MIX_ACCESSES,
         "runs": {},
     }
     runs: Dict[str, object] = fixture["runs"]  # type: ignore[assignment]
@@ -93,6 +123,10 @@ def collect_golden() -> Dict[str, object]:
                          for name in MULTICORE_WORKLOADS]
             mc_result = simulate_multicore(config, mc_traces)
             runs[f"multi/{config.label}"] = fingerprint_multicore(mc_result)
+    for prefetcher, predictor in GOLDEN_MIX_CONFIGS:
+        for mix, _, _ in GOLDEN_MIXES:
+            key, result = run_golden_mix(prefetcher, predictor, mix)
+            runs[key] = fingerprint_multicore(result)
     return fixture
 
 

@@ -25,6 +25,9 @@ import pytest
 from repro.engine import available_engines
 from repro.perf.golden import (
     GOLDEN_ACCESSES,
+    GOLDEN_MIX_ACCESSES,
+    GOLDEN_MIX_CONFIGS,
+    GOLDEN_MIXES,
     GOLDEN_PREDICTORS,
     GOLDEN_PREFETCHERS,
     GOLDEN_WORKLOADS,
@@ -33,6 +36,7 @@ from repro.perf.golden import (
     fingerprint_multicore,
     fingerprint_single,
     golden_config,
+    run_golden_mix,
 )
 from repro.sim.multicore import simulate_multicore
 from repro.sim.simulator import simulate_trace
@@ -57,6 +61,7 @@ def fixture_runs():
     fixture = json.loads(FIXTURE_PATH.read_text())
     assert fixture["single_accesses"] == GOLDEN_ACCESSES
     assert fixture["multicore_accesses"] == MULTICORE_ACCESSES
+    assert fixture["mix_accesses"] == GOLDEN_MIX_ACCESSES
     return fixture["runs"]
 
 
@@ -98,5 +103,13 @@ def test_multicore_matches_golden(fixture_runs, prefetcher, predictor):
     traces = [make_trace(name, MULTICORE_ACCESSES) for name in MULTICORE_WORKLOADS]
     result = simulate_multicore(config, traces)
     key = f"multi/{config.label}"
+    assert key in fixture_runs, f"fixture missing {key}"
+    _assert_identical(fingerprint_multicore(result), fixture_runs[key], key)
+
+
+@pytest.mark.parametrize("mix", [name for name, _, _ in GOLDEN_MIXES])
+@pytest.mark.parametrize("prefetcher,predictor", GOLDEN_MIX_CONFIGS)
+def test_multicore_mix_matches_golden(fixture_runs, prefetcher, predictor, mix):
+    key, result = run_golden_mix(prefetcher, predictor, mix)
     assert key in fixture_runs, f"fixture missing {key}"
     _assert_identical(fingerprint_multicore(result), fixture_runs[key], key)
