@@ -507,16 +507,10 @@ def cmd_config_validate(args: argparse.Namespace) -> int:
 def cmd_config_paths(args: argparse.Namespace) -> int:
     """List every dotted override path accepted by --set and spec axes."""
     from repro.config import config_field_paths
-    from repro.engine import available_engines
     from repro.sim.config import SystemConfig
     for path, annotation in config_field_paths(SystemConfig):
         name = getattr(annotation, "__name__", None) or str(annotation)
         print(f"{path:<40} {name}")
-    print()
-    print("engines (--set engine=<name>):")
-    for info in available_engines():
-        status = "available" if info.available else f"requires {info.requires}"
-        print(f"  {info.name:<38} {status}")
     return 0
 
 

@@ -106,7 +106,14 @@ class HermesDecision:
 
 
 class HermesEngine:
-    """Couples an off-chip predictor with the main-memory controller."""
+    """Couples an off-chip predictor with the main-memory controller.
+
+    The core loop (:meth:`repro.cpu.core.OutOfOrderCore.run_span`)
+    inlines :meth:`predict_and_issue` and :meth:`train` statement for
+    statement.  The methods remain the per-load form of those steps:
+    ``tests/test_hermes_engine.py`` checks the loop against them, and
+    ``perfbench/layers.py`` names them as the ``core`` layer.
+    """
 
     __slots__ = ("config", "predictor", "memory_controller", "stats",
                  "_loads_since_drain", "_context", "_decision",

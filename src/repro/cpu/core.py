@@ -15,26 +15,32 @@ Dependent loads (``depends_on_previous_load``) cannot issue before the
 previous load's data returns, which limits memory-level parallelism for
 pointer-chasing workloads the way real dependence chains do.
 
-The core exposes both a one-shot :meth:`OutOfOrderCore.run` and a
-step-wise API (:meth:`begin` / :meth:`step` / :meth:`finalize`) so the
-multi-core driver can interleave several cores over a shared LLC and
-memory controller.
+There is one core loop, :meth:`OutOfOrderCore._span_loop`, written as
+a generator.  The single-core drivers run a span to its end
+(:meth:`~OutOfOrderCore.run_span`); the multi-core driver opens a span
+per core (:meth:`~OutOfOrderCore.open_span`) and resumes each one
+(:meth:`~OutOfOrderCore.step`) until its clock passes the next core's,
+interleaving several cores over a shared LLC and memory controller.
 
 The in-flight load window is a ring buffer of parallel preallocated
 lists (instruction index, completion cycle, off-chip flag, on-chip
-latency) — ``step`` allocates nothing per load.
+latency) — the loop allocates nothing per load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.config.schema import SerializableConfig
 from repro.core.hermes import HermesEngine
 from repro.dram.controller import RequestSource
 from repro.memory.hierarchy import CacheHierarchy
-from repro.workloads.trace import MemoryAccess, Trace
+from repro.workloads.trace import Trace
+
+#: A multicore scheduling bound: another core's (frontend cycle, rank)
+#: heap key, or ``None`` for no bound.
+Bound = Optional[Tuple[float, int]]
 
 
 @dataclass
@@ -110,7 +116,7 @@ class OutOfOrderCore:
                  "_il_capacity", "_il_index", "_il_completion", "_il_offchip",
                  "_il_onchip", "_il_head", "_il_count",
                  "_dispatch_cycle", "_instruction_index",
-                 "_previous_load_completion", "_running",
+                 "_previous_load_completion", "_running", "_span",
                  "_fetch_width", "_rob_size", "_lq_size", "_l1_latency")
 
     def __init__(self, hierarchy: CacheHierarchy,
@@ -122,7 +128,7 @@ class OutOfOrderCore:
         self.hermes = hermes
         self.stats = CoreStats()
         # Ring buffer of in-flight loads (parallel arrays).  The window
-        # never exceeds load_queue_size + 1 entries: step() drains the
+        # never exceeds load_queue_size + 1 entries: the loop drains the
         # oldest load as soon as the queue overflows.
         self._il_capacity = self.config.load_queue_size + 2
         self._il_index = [0] * self._il_capacity
@@ -135,6 +141,8 @@ class OutOfOrderCore:
         self._instruction_index = 0
         self._previous_load_completion = 0
         self._running = False
+        #: The span opened for :meth:`step`, paused between resumes.
+        self._span: Optional[Generator[None, Bound, None]] = None
         # Hot-loop constants hoisted out of the config dataclass.
         self._fetch_width = self.config.fetch_width
         self._rob_size = self.config.rob_size
@@ -154,26 +162,77 @@ class OutOfOrderCore:
         self.run_span(accesses, 0, total)
         return self.finalize()
 
-    # repro: hot
-    def run_span(self, accesses, start: int, stop: int) -> None:
-        """Execute ``accesses[start:stop]`` with the hot loop fully inlined.
+    # ------------------------------------------------------------------ #
+    # Span execution: begin(), spans in trace order, finalize()
+    # ------------------------------------------------------------------ #
 
-        Semantically identical to calling :meth:`step` per record (the
-        arithmetic is the same, statement for statement), but core state
-        and statistics counters live in locals for the whole span and are
-        flushed back once at the end — the single-core drivers' main loop.
-        ``step`` remains for access-by-access interleaving (multi-core).
-        """
+    def begin(self) -> None:
+        """Reset dynamic state before executing a trace."""
+        self._il_head = 0
+        self._il_count = 0
+        self._dispatch_cycle = 0.0
+        self._instruction_index = 0
+        self._previous_load_completion = 0
+        self._span = None
+        self._running = True
+
+    def run_span(self, accesses, start: int, stop: int) -> None:
+        """Execute ``accesses[start:stop]`` to the end (single-core driving)."""
         if not self._running:
             raise RuntimeError("call begin() before run_span()")
+        span = self._span_loop(accesses, start, stop, 0)
+        next(span, None)  # set up; pauses before the first access
+        next(span, None)  # resume with no bound: run to the span's end
+
+    def open_span(self, accesses, start: int, stop: int, rank: int) -> None:
+        """Open ``accesses[start:stop]`` for bounded execution by :meth:`step`.
+
+        ``rank`` is the core's index in its mix: between two cores at the
+        same frontend cycle, the lower rank runs first.
+        """
+        if not self._running:
+            raise RuntimeError("call begin() before open_span()")
+        span = self._span_loop(accesses, start, stop, rank)
+        next(span, None)  # set up; pauses before the first access
+        self._span = span
+
+    def step(self, bound: Bound) -> bool:
+        """Run the open span until this core's (frontend cycle, rank)
+        passes ``bound``, another core's heap key.
+
+        Returns True when the span paused there, and False once its last
+        access has run: the span is then closed, its statistics flushed.
+        """
+        span = self._span
+        if span is None:
+            raise RuntimeError("call open_span() before step()")
+        try:
+            span.send(bound)
+        except StopIteration:
+            self._span = None
+            return False
+        return True
+
+    # repro: hot
+    def _span_loop(self, accesses, start: int, stop: int,
+                   rank: int) -> Generator[None, Bound, None]:
+        """The core loop over ``accesses[start:stop]``, as a generator.
+
+        Core state and statistics counters live in locals for the whole
+        span and are flushed back once, when it ends.  The loop pauses
+        before an access once the core's (frontend cycle, ``rank``) has
+        passed the current bound, and each resume sends the next bound.
+        It starts paused, before its first access; it never pauses after
+        its last one, so the driver acts on a span's end (a warmup stats
+        reset) before any other core runs.  While the loop is paused, only
+        ``_dispatch_cycle`` is current on the instance.
+        """
         stats = self.stats
         hierarchy = self.hierarchy
         hermes = self.hermes
         hierarchy_load = hierarchy.load
         hierarchy_store = hierarchy.store
         if hermes is not None:
-            # Pre-bound pieces of HermesEngine.predict_and_issue / train,
-            # inlined below (same statements, span-local bindings).
             predictor_predict = hermes.predictor.predict
             predictor_train = hermes.predictor.train
             hermes_stats = hermes.stats
@@ -203,6 +262,12 @@ class OutOfOrderCore:
         n_loads = n_stores = 0
         n_offchip = n_blocking = n_nonblocking = 0
         stall_offchip = stall_onchip_portion = stall_other = 0
+        # The bound as a cycle limit: past it when above the limit, or at
+        # it when this core ranks after the bound's core.  No cycle is
+        # below -1, so the first access pauses to receive the first bound.
+        unbounded = float("inf")
+        limit = -1.0
+        tie_pauses = False
 
         def pop_oldest_stall() -> None:
             """Pop the oldest in-flight load, accounting any stall (inline
@@ -237,11 +302,21 @@ class OutOfOrderCore:
             dispatch_cycle = float(completion)
 
         for position in range(start, stop):
+            if dispatch_cycle >= limit and (dispatch_cycle > limit or tie_pauses):
+                self._dispatch_cycle = dispatch_cycle
+                bound = yield
+                if bound is None:
+                    limit = unbounded
+                else:
+                    limit, bound_rank = bound
+                    tie_pauses = rank > bound_rank
+
             access = accesses[position]
             group_size = access.nonmem_before + 1
             instruction_index += group_size
             dispatch_cycle += group_size / fetch_width
 
+            # Retire completed loads that the frontend has caught up with.
             while count and completions[head] <= dispatch_cycle:
                 if offchips[head]:
                     n_offchip += 1
@@ -250,6 +325,7 @@ class OutOfOrderCore:
                 if head == capacity:
                     head = 0
                 count -= 1
+            # ROB limit: stall until the oldest in-flight load completes.
             while count and (instruction_index - indices[head]) >= rob_size:
                 pop_oldest_stall()
 
@@ -261,7 +337,9 @@ class OutOfOrderCore:
                 pc = access.pc
                 address = access.address
                 if hermes is not None:
-                    # HermesEngine.predict_and_issue, inlined.
+                    # Predict at load-queue allocation; a predicted
+                    # off-chip load sends a Hermes request straight to the
+                    # memory controller (Section 5 of the paper).
                     hermes_stats.loads_seen += 1
                     hermes_context.pc = pc
                     hermes_context.address = address
@@ -281,7 +359,7 @@ class OutOfOrderCore:
                         mc_drain(issue_cycle)
                     outcome = hierarchy_load(address, pc, issue_cycle,
                                              hermes_ready)
-                    # HermesEngine.train, inlined.
+                    # Train the predictor with the load's true outcome.
                     if outcome.hermes_used:
                         hermes_stats.hermes_requests_useful += 1
                     predictor_train(record, outcome.went_offchip)
@@ -301,6 +379,8 @@ class OutOfOrderCore:
                 if count > lq_size:
                     pop_oldest_stall()
             else:
+                # Stores update cache state but retire off the critical
+                # path through the store queue.
                 hierarchy_store(access.address, access.pc, issue_cycle)
                 n_stores += 1
 
@@ -322,77 +402,6 @@ class OutOfOrderCore:
         stats.stall_cycles_offchip_onchip_portion += stall_onchip_portion
         stats.stall_cycles_other += stall_other
 
-    # ------------------------------------------------------------------ #
-    # Step-wise execution (used by the multi-core driver)
-    # ------------------------------------------------------------------ #
-
-    def begin(self) -> None:
-        """Reset dynamic state before executing a trace."""
-        self._il_head = 0
-        self._il_count = 0
-        self._dispatch_cycle = 0.0
-        self._instruction_index = 0
-        self._previous_load_completion = 0
-        self._running = True
-
-    def step(self, access: MemoryAccess) -> None:
-        """Execute one memory-access record (plus its preceding ALU block)."""
-        if not self._running:
-            raise RuntimeError("call begin() before step()")
-        stats = self.stats
-        group_size = access.nonmem_before + 1
-        instruction_index = self._instruction_index + group_size
-        self._instruction_index = instruction_index
-        dispatch_cycle = self._dispatch_cycle + group_size / self._fetch_width
-
-        # Retire completed loads that the frontend has caught up with.
-        completions = self._il_completion
-        head = self._il_head
-        count = self._il_count
-        capacity = self._il_capacity
-        offchips = self._il_offchip
-        while count and completions[head] <= dispatch_cycle:
-            if offchips[head]:
-                stats.offchip_loads += 1
-                stats.nonblocking_offchip_loads += 1
-            head = (head + 1) % capacity
-            count -= 1
-        self._il_head = head
-        self._il_count = count
-
-        # ROB limit: stall until the oldest in-flight load completes.
-        rob_size = self._rob_size
-        indices = self._il_index
-        while self._il_count and (instruction_index - indices[self._il_head]) >= rob_size:
-            dispatch_cycle = self._wait_for_oldest(dispatch_cycle)
-
-        issue_cycle = int(dispatch_cycle)
-        if access.depends_on_previous_load:
-            previous = self._previous_load_completion
-            if previous > issue_cycle:
-                issue_cycle = previous
-
-        if access.is_load:
-            completion, went_offchip, onchip_latency = self._execute_load(
-                access.pc, access.address, issue_cycle)
-            self._previous_load_completion = completion
-            stats.loads += 1
-            tail = (self._il_head + self._il_count) % capacity
-            self._il_index[tail] = instruction_index
-            completions[tail] = completion
-            offchips[tail] = went_offchip
-            self._il_onchip[tail] = onchip_latency
-            self._il_count += 1
-            if self._il_count > self._lq_size:
-                dispatch_cycle = self._wait_for_oldest(dispatch_cycle)
-        else:
-            # Stores update cache state but retire off the critical path
-            # through the store queue.
-            self.hierarchy.store(access.address, access.pc, issue_cycle)
-            stats.stores += 1
-        stats.memory_instructions += 1
-        self._dispatch_cycle = dispatch_cycle
-
     def finalize(self) -> CoreStats:
         """Drain outstanding loads and close out the statistics."""
         final_cycle = self._dispatch_cycle
@@ -411,20 +420,6 @@ class OutOfOrderCore:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _execute_load(self, pc: int, address: int,
-                      cycle: int) -> Tuple[int, bool, int]:
-        """Issue one load through Hermes (if enabled) and the hierarchy."""
-        hermes = self.hermes
-        if hermes is not None:
-            decision = hermes.predict_and_issue(pc, address, cycle)
-            outcome = self.hierarchy.load(address, pc, cycle,
-                                          hermes_ready=decision.hermes_ready)
-            hermes.train(decision, outcome.went_offchip,
-                         hermes_used=outcome.hermes_used)
-        else:
-            outcome = self.hierarchy.load(address, pc, cycle)
-        return outcome.completion_cycle, outcome.went_offchip, outcome.onchip_latency
 
     def _wait_for_oldest(self, dispatch_cycle: float) -> float:
         """Pop the oldest in-flight load, accounting any stall it causes."""

@@ -1,70 +1,20 @@
-"""Simulation engine registry: pluggable single-core execution backends.
+"""The simulation engine: one core loop, and the name that selects it.
 
-An *engine* owns the ``run_span`` hot loop the single-core drivers
-(:func:`repro.sim.simulator.simulate_trace` / ``simulate_stream``) call;
-everything an engine touches (caches, MSHRs, DRAM, predictors) is the
-same live system state, so engines differ only in how fast they execute
-the identical semantics.  Two engines ship:
-
-``scalar``
-    The no-dependency default: delegates straight to
-    :meth:`repro.cpu.core.OutOfOrderCore.run_span`.
-
-``vectorized``
-    Batches per-access work over flat NumPy arrays (address
-    decomposition, POPET feature hashing) and runs the core/L1/L2 fast
-    paths in a fused loop, falling back to the scalar loop whenever a
-    configuration it cannot fuse is in play.  Requires NumPy
-    (``pip install .[fast]``); produces bit-identical statistics
-    (gated by ``tests/test_golden_equivalence.py``), which is why
-    engine choice is *excluded* from :meth:`repro.runner.job.SimJob.key`
-    — cached results are shared between engines.
-
-Engines self-register on the same decorator pattern as the prefetcher
-and off-chip predictor registries.  Selecting an engine whose
-dependencies are missing raises :class:`EngineUnavailableError`, an
-:class:`~repro.registry.UnknownComponentError` subclass, so the CLI
-surfaces it as a clean actionable message rather than a traceback.
+Every driver runs :meth:`repro.cpu.core.OutOfOrderCore.run_span` (the
+single-core drivers) or resumes the same loop a bounded stretch at a
+time (:func:`repro.sim.multicore.simulate_multicore`).
+:attr:`repro.sim.config.SystemConfig.engine` names that loop; ``scalar``
+is its only legal value, and the field stays out of result-cache keys,
+so configuration files and cached results written when it had other
+values keep loading.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from repro.registry import UnknownComponentError
 
-from repro.engine.base import Engine
-from repro.registry import Registry, UnknownComponentError
-
-engine_registry: Registry[Engine] = Registry("engine")
-register_engine = engine_registry.register
-
-
-class EngineUnavailableError(UnknownComponentError):
-    """A registered engine cannot run because a dependency is missing.
-
-    Subclasses :class:`~repro.registry.UnknownComponentError` so every
-    caller that already turns registry lookup failures into clean CLI
-    errors (``repro run``, ``repro sweep``, config validation) handles
-    this the same way, with a message that says how to fix it.
-    """
-
-    def __init__(self, kind: str, name: str, available: List[str],
-                 reason: str) -> None:
-        super().__init__(kind, name, available)
-        self.reason = reason
-        self.args = (
-            f"{kind} {name!r} is unavailable: {reason}; "
-            f"currently usable: {', '.join(available) or '(none)'}",)
-
-    def __reduce__(self):
-        return (type(self), (self.kind, self.name, self.available, self.reason))
-
-
-class EngineInfo(NamedTuple):
-    """Availability of one registered engine (for CLI listings)."""
-
-    name: str
-    available: bool
-    requires: str  #: human-readable requirement, "" when always available
+#: The legal values of ``SystemConfig.engine``.
+ENGINES = ("scalar",)
 
 
 def numpy_or_none():
@@ -76,63 +26,11 @@ def numpy_or_none():
     return numpy
 
 
-def engine_requirement(name: str) -> str:
-    """What ``name`` needs to run, or "" if it is dependency-free.
-
-    Unknown names raise :class:`~repro.registry.UnknownComponentError`.
-    """
-    if name not in engine_registry:
-        raise UnknownComponentError("engine", name, engine_registry.names())
-    if name.lower() == "vectorized" and numpy_or_none() is None:
-        return "NumPy (install with `pip install .[fast]`)"
-    return ""
-
-
-def available_engines() -> List[EngineInfo]:
-    """Availability of every registered engine, sorted by name."""
-    infos = []
-    for name in engine_registry.names():
-        requires = engine_requirement(name)
-        infos.append(EngineInfo(name=name, available=not requires,
-                                requires=requires))
-    return infos
-
-
 def check_engine(name: str) -> None:
-    """Raise if ``name`` is not a usable engine on this interpreter.
-
-    Unknown names raise :class:`~repro.registry.UnknownComponentError`;
-    known-but-unavailable ones raise :class:`EngineUnavailableError`
-    naming the missing dependency and the engines that *are* usable.
-    """
-    requires = engine_requirement(name)  # validates the name
-    if requires:
-        usable = [info.name for info in available_engines() if info.available]
-        raise EngineUnavailableError("engine", name, usable,
-                                     f"requires {requires}")
+    """Raise :class:`~repro.registry.UnknownComponentError` unless
+    ``name`` is a legal engine name (case-insensitive)."""
+    if name.lower() not in ENGINES:
+        raise UnknownComponentError("engine", name, list(ENGINES))
 
 
-def make_engine(name: str, core, hierarchy, hermes=None) -> Engine:
-    """Construct the engine registered under ``name`` for a wired system."""
-    check_engine(name)
-    return engine_registry.create(name, core=core, hierarchy=hierarchy,
-                                  hermes=hermes)
-
-
-# Import for registration side effects (kept after the registry so the
-# modules can import register_engine from this package).
-from repro.engine import scalar as _scalar  # noqa: E402,F401
-from repro.engine import vectorized as _vectorized  # noqa: E402,F401
-
-__all__ = [
-    "Engine",
-    "EngineInfo",
-    "EngineUnavailableError",
-    "available_engines",
-    "check_engine",
-    "engine_registry",
-    "engine_requirement",
-    "make_engine",
-    "numpy_or_none",
-    "register_engine",
-]
+__all__ = ["ENGINES", "check_engine", "numpy_or_none"]

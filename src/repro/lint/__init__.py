@@ -2,12 +2,12 @@
 
 The reproduction's correctness rests on invariants no generic linter
 knows: the zero-allocation hot path, schema-versioned serialization,
-registry-resolved component names, bit-reproducible simulation,
-``__slots__`` discipline and cross-engine counter parity.  This package
-enforces them as named, individually-suppressible AST rules —
-``RL001``..``RL007`` — discovered through the same decorator registry
-as prefetchers and engines, and surfaced through ``repro lint`` /
-``python -m repro.lint`` with text or JSON diagnostics CI can gate on.
+registry-resolved component names, bit-reproducible simulation and
+``__slots__`` discipline.  This package enforces them as named,
+individually-suppressible AST rules — ``RL001``..``RL007`` — discovered
+through the same decorator registry as prefetchers, and surfaced
+through ``repro lint`` / ``python -m repro.lint`` with text or JSON
+diagnostics CI can gate on.
 
 Suppress a single finding in place with ``# repro-lint:
 disable=RL001`` (comma-separate multiple ids; ``disable-file=``

@@ -9,13 +9,11 @@ RL002     serialized field sets must match committed schema fingerprints
 RL003     component-name strings must resolve against the registries
 RL004     no wall-clock/unseeded-randomness/set-iteration in the simulator
 RL005     slotted classes may only write attributes their slots declare
-RL006     scalar-engine stat counters must have vectorized-engine parity
 RL007     public modules/classes/functions need docstrings
 ========  ==============================================================
 """
 
 from repro.lint.rules import (  # noqa: F401  (registration side effects)
-    counters,
     determinism,
     docstrings,
     hotpath,

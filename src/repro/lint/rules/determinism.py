@@ -1,7 +1,7 @@
 """RL004 — the determinism lint for the simulation core.
 
 Bit-identical replay is load-bearing here: golden-equivalence tests
-compare engines statistic-for-statistic, job keys memoise results on
+compare runs statistic-for-statistic, job keys memoise results on
 content alone, and the service dedups concurrent submissions by those
 keys.  One wall-clock read or hash-order-dependent iteration in the
 simulator breaks all three in ways that only reproduce intermittently.

@@ -1,7 +1,7 @@
 """RL003 — component-name strings must resolve against the registries.
 
 Specs, CLI defaults and docs refer to prefetchers, off-chip predictors,
-engines, trace formats and report renderers *by name*.  The registries
+the engine, trace formats and report renderers *by name*.  The registries
 fail loudly at run time, but a typo in an example spec only explodes
 when somebody finally runs it — long after the commit that broke it.
 This rule resolves every component-name string it can find statically:
@@ -50,8 +50,8 @@ def _registry_names() -> Dict[str, Optional[List[str]]]:
         return available_predictors() + ["none"]
 
     def engines() -> List[str]:
-        from repro.engine import engine_registry
-        return engine_registry.names()
+        from repro.engine import ENGINES
+        return list(ENGINES)
 
     def formats() -> List[str]:
         from repro.workloads.formats import format_names

@@ -426,24 +426,6 @@ class CacheHierarchy:
             outcome.onchip_latency = onchip
             return outcome
         l2_stats.demand_misses += 1
-        return self._post_l2(block, address, pc, cycle, is_write, hermes_ready)
-
-    def _post_l2(self, block: int, address: int, pc: int, cycle: int,
-                 is_write: bool, hermes_ready: Optional[int]) -> LoadOutcome:
-        """The LLC -> DRAM portion of a demand access (post-L2-miss).
-
-        Split out of :meth:`_post_l1` so the vectorized engine (which
-        inlines the common L1/L2 paths) can delegate the rare off-chip
-        tail to the same code the scalar engine runs.
-        """
-        outcome = self._outcome
-        outcome.address = address
-        outcome.pc = pc
-        outcome.issue_cycle = cycle
-        outcome.went_offchip = False
-        outcome.hermes_used = False
-        l1d = self.l1d
-        l2 = self.l2
 
         # --- LLC (Cache.access inlined) ---
         llc = self.llc
@@ -502,7 +484,7 @@ class CacheHierarchy:
                 completion = memory_controller.access(address, arrival,
                                                       RequestSource.DEMAND)
         llc.record_miss(address, completion)
-        l1d.record_miss(address, completion)
+        self.l1d.record_miss(address, completion)
         self._fill_all(address, pc, completion, is_write)
         outcome.completion_cycle = completion
         outcome.served_by = "DRAM"

@@ -10,10 +10,6 @@ CI regression gate (exit 1 on >30% aggregate regression)::
 
     PYTHONPATH=src python -m repro.perf --tag PR \
         --compare BENCH_baseline.json --max-regression 0.30
-
-Benchmark both engines and report the cross-engine speedup::
-
-    PYTHONPATH=src python -m repro.perf --tag PR --engine both
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.engine import available_engines, check_engine
 from repro.perf.harness import (
     BenchReport,
     DEFAULT_ACCESSES,
@@ -34,12 +29,10 @@ from repro.perf.harness import (
     run_microbench,
     write_report,
 )
-from repro.registry import UnknownComponentError
 
 
 def main(argv=None) -> int:
     """Run the benchmark harness CLI; returns the process exit code."""
-    engine_names = [info.name for info in available_engines()]
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
         description="Simulation hot-path throughput benchmark")
@@ -54,11 +47,6 @@ def main(argv=None) -> int:
                              "(damps scheduler noise on shared machines)")
     parser.add_argument("--workloads", nargs="+", default=list(PINNED_WORKLOADS),
                         help="pinned workload names to time")
-    parser.add_argument("--engine", default="scalar",
-                        choices=engine_names + ["both"],
-                        help="execution backend to time; 'both' times every "
-                             "available engine and reports the cross-engine "
-                             "speedup (the written report is the fastest one)")
     parser.add_argument("--skip-figure", action="store_true",
                         help="skip the end-to-end figure-runner benchmark")
     parser.add_argument("--compare", type=Path, default=None,
@@ -70,45 +58,13 @@ def main(argv=None) -> int:
                              "from a different engine/NumPy/Python")
     args = parser.parse_args(argv)
 
-    if args.engine == "both":
-        engines = [info.name for info in available_engines() if info.available]
-        skipped = [info for info in available_engines() if not info.available]
-        for info in skipped:
-            print(f"repro.perf: skipping engine {info.name!r} "
-                  f"(requires {info.requires})", file=sys.stderr)
-    else:
-        engines = [args.engine]
-    try:
-        for engine in engines:
-            check_engine(engine)
-    except UnknownComponentError as exc:
-        print(f"repro.perf: error: {exc}", file=sys.stderr)
-        return 2
-
-    reports = {}
-    for engine in engines:
-        print(f"repro.perf: micro-benchmark [{engine}] "
-              f"({args.accesses} accesses x {args.repeats} repeats)")
-        entries = run_microbench(num_accesses=args.accesses,
-                                 workloads=args.workloads,
-                                 repeats=args.repeats,
-                                 engine=engine,
-                                 verbose=True)
-        reports[engine] = BenchReport(tag=args.tag, entries=entries,
-                                      engine=engine)
-        print(f"repro.perf: [{engine}] aggregate "
-              f"{reports[engine].accesses_per_sec:.0f} accesses/sec (geomean)")
-
-    if len(reports) > 1 and "scalar" in reports:
-        scalar_rate = reports["scalar"].accesses_per_sec
-        for engine, rep in reports.items():
-            if engine != "scalar" and scalar_rate > 0:
-                print(f"repro.perf: {engine} vs scalar: "
-                      f"{rep.accesses_per_sec / scalar_rate:.2f}x")
-
-    # The report written to disk (and gated against the baseline) is the
-    # fastest engine timed this run.
-    report = max(reports.values(), key=lambda rep: rep.accesses_per_sec)
+    print(f"repro.perf: micro-benchmark "
+          f"({args.accesses} accesses x {args.repeats} repeats)")
+    entries = run_microbench(num_accesses=args.accesses,
+                             workloads=args.workloads,
+                             repeats=args.repeats,
+                             verbose=True)
+    report = BenchReport(tag=args.tag, entries=entries)
     if not args.skip_figure:
         print("repro.perf: end-to-end figure runner (Fig. 5)")
         report.figure_runner = run_figure_bench()
@@ -118,7 +74,7 @@ def main(argv=None) -> int:
     output = args.output or Path(f"BENCH_{args.tag}.json")
     write_report(report, output)
     print(f"repro.perf: aggregate {report.accesses_per_sec:.0f} accesses/sec "
-          f"(geomean, engine={report.engine}) -> {output}")
+          f"(geomean) -> {output}")
 
     if args.compare is not None:
         baseline = json.loads(args.compare.read_text())

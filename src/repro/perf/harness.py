@@ -17,7 +17,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,8 +32,8 @@ from repro.workloads.suite import make_trace
 #: v2: aggregate ``accesses_per_sec`` is the *geometric* mean of the
 #: per-entry throughputs (schema 1 used total accesses / total wall,
 #: which let one slow config dominate the aggregate); reports also
-#: record the execution ``engine`` and the ``numpy`` version (or
-#: ``"none"``) so comparisons can refuse cross-environment gating.
+#: record the ``engine`` and the ``numpy`` version (or ``"none"``) so
+#: comparisons can refuse cross-environment gating.
 BENCH_SCHEMA_VERSION = 2
 
 #: Pinned-seed workloads used by the micro-benchmark — one pointer-chasing,
@@ -132,21 +132,17 @@ def run_microbench(num_accesses: int = DEFAULT_ACCESSES,
                    workloads: Sequence[str] = PINNED_WORKLOADS,
                    configs: Optional[Sequence[SystemConfig]] = None,
                    repeats: int = 1,
-                   engine: str = "scalar",
                    verbose: bool = False) -> List[BenchEntry]:
     """Time ``simulate_trace`` for every (config, workload) pair.
 
     ``repeats`` re-runs each pair and keeps the fastest wall time, which
-    filters scheduler noise on loaded CI machines.  ``engine`` selects
-    the execution backend for every timed run (engines are bit-identical
-    by contract, so this changes only the timings).
+    filters scheduler noise on loaded CI machines.
     """
     if num_accesses <= 0:
         raise ValueError("num_accesses must be positive")
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     configs = list(configs) if configs is not None else microbench_configs()
-    configs = [replace(config, engine=engine) for config in configs]
     entries: List[BenchEntry] = []
     for config in configs:
         for workload in workloads:
@@ -197,7 +193,7 @@ class EnvironmentMismatchError(ValueError):
     """Two benchmark reports come from incomparable environments.
 
     Raised by :func:`compare_reports` when the current and baseline
-    reports disagree on the execution engine, NumPy presence/version, or
+    reports disagree on the engine, NumPy presence/version, or
     Python minor version — a throughput delta between such runs measures
     the environment, not the code under test.  Pass
     ``allow_env_mismatch=True`` (CLI: ``--allow-env-mismatch``) to
@@ -220,10 +216,10 @@ def _report_environment(report: Dict[str, object]) -> Dict[str, str]:
     numpy = str(report.get("numpy", "none") if schema >= 2 else "none")
     return {
         "engine": engine,
-        # NumPy only touches the timed path under the vectorized engine;
-        # a scalar report's throughput is independent of whatever NumPy
-        # happens to be installed.
-        "numpy": numpy if engine == "vectorized" else "n/a",
+        # NumPy only touched the timed path of the engines older reports
+        # may name; a scalar report's throughput is independent of
+        # whatever NumPy happens to be installed.
+        "numpy": numpy if engine != "scalar" else "n/a",
         "python": ".".join(python.split(".")[:2]),
     }
 

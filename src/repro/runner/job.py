@@ -215,11 +215,9 @@ def _canonical(value: Any) -> Any:
     if isinstance(value, SerializableConfig):
         serialized = value.to_dict()
         if isinstance(value, SystemConfig):
-            # The execution engine is bit-identical by contract (gated by
-            # the golden-equivalence suite), so it must not influence
-            # cache identity: results computed under either engine are
-            # interchangeable, and keys minted before the engine field
-            # existed keep matching.
+            # The engine field names the one core loop and never
+            # influenced results, so it stays out of cache identity:
+            # keys minted before the field existed keep matching.
             serialized.pop("engine", None)
         return serialized
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

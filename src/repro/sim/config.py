@@ -44,10 +44,8 @@ class SystemConfig(SerializableConfig):
     offchip_predictor: Optional[str] = None
     hermes: HermesConfig = field(default_factory=HermesConfig.disabled)
     warmup_fraction: float = 0.25
-    #: Single-core execution backend (see :mod:`repro.engine`).  Engines
-    #: are bit-identical by contract, so this is a *performance* knob:
-    #: it is excluded from result-cache keys and the ``REPRO_ENGINE``
-    #: environment variable overrides it at build time.
+    #: The core loop (see :mod:`repro.engine`); ``scalar`` is the only
+    #: legal value.  Excluded from result-cache keys.
     engine: str = "scalar"
 
     def validate(self) -> None:
@@ -72,9 +70,6 @@ class SystemConfig(SerializableConfig):
         from repro.offchip.factory import predictor_registry
         from repro.prefetchers.factory import prefetcher_registry
         from repro.registry import UnknownComponentError
-        # Unknown engine -> UnknownComponentError; known but missing its
-        # dependency (vectorized without NumPy) -> EngineUnavailableError
-        # with the install hint.  Both fail here, before any simulation.
         check_engine(self.engine)
         if self.prefetcher not in prefetcher_registry:
             raise UnknownComponentError("prefetcher", self.prefetcher,

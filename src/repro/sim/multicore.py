@@ -5,9 +5,9 @@ mixes over private L1/L2 caches, a shared sliced LLC (3 MB per core) and
 a higher-bandwidth memory system (4 channels, 2 ranks).  This driver
 builds one :class:`~repro.cpu.core.OutOfOrderCore` per trace, wires every
 per-core hierarchy to a single shared LLC and memory controller, and
-interleaves the cores' execution access-by-access ordered by each core's
-own frontend clock, so contention on the shared structures emerges from
-overlapping request streams.
+interleaves the cores' execution ordered by each core's own frontend
+clock, so contention on the shared structures emerges from overlapping
+request streams.
 """
 
 from __future__ import annotations
@@ -103,37 +103,40 @@ def simulate_multicore(config: SystemConfig, traces: Sequence[Trace],
         cores.append(core)
 
     # Interleave cores ordered by their own frontend clocks so requests to
-    # the shared LLC/DRAM from different cores overlap realistically.  As
-    # in the single-core driver, the first ``config.warmup_fraction`` of
-    # each trace is a warmup whose statistics are discarded: each core's
-    # private stats reset when that core crosses its own warmup point (no
-    # barrier, so the interleaving is identical with warmup disabled), and
-    # the shared LLC / memory-controller stats reset once every core is
-    # past warmup.
+    # the shared LLC/DRAM from different cores overlap realistically: the
+    # core with the lowest (cycle, index) heap key runs until its key
+    # passes the next lowest, exactly the order of running one access at
+    # a time from the heap.  As in the single-core driver, the first
+    # ``config.warmup_fraction`` of each trace is a warmup span whose
+    # statistics are discarded: each core's private stats reset when that
+    # core ends its own warmup span (no barrier, so the interleaving is
+    # identical with warmup disabled), and the shared LLC /
+    # memory-controller stats reset once every core is past warmup.
     warmup_limits = [int(len(trace.accesses) * config.warmup_fraction)
                      for trace in traces]
-    cores_warming = sum(1 for limit in warmup_limits if limit > 0)
-    cursors = [0] * num_cores
+    warming = [limit > 0 for limit in warmup_limits]
+    cores_warming = sum(warming)
     heap = []
     for index, core in enumerate(cores):
+        accesses = traces[index].accesses
         core.begin()
-        heapq.heappush(heap, (0.0, index))
+        core.open_span(accesses, 0, warmup_limits[index] or len(accesses),
+                       index)
+        heap.append((0.0, index))
     while heap:
         _, index = heapq.heappop(heap)
-        trace = traces[index]
-        cursor = cursors[index]
-        if cursor >= len(trace.accesses):
-            continue
         core = cores[index]
-        core.step(trace.accesses[cursor])
-        cursors[index] = cursor + 1
-        if warmup_limits[index] and cursors[index] == warmup_limits[index]:
+        if core.step(heap[0] if heap else None):
+            heapq.heappush(heap, (core.current_cycle, index))
+        elif warming[index]:
+            warming[index] = False
             _reset_core_stats(core)
             cores_warming -= 1
             if cores_warming == 0:
                 memory_controller.stats = type(memory_controller.stats)()
                 shared_llc.stats = type(shared_llc.stats)()
-        if cursors[index] < len(trace.accesses):
+            accesses = traces[index].accesses
+            core.open_span(accesses, warmup_limits[index], len(accesses), index)
             heapq.heappush(heap, (core.current_cycle, index))
 
     per_core = [core.finalize() for core in cores]

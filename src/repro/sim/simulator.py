@@ -6,19 +6,12 @@ file-backed external trace from :mod:`repro.workloads.formats`) in
 bounded chunks so arbitrarily long traces execute under O(1) memory.
 Both share :func:`build_system` and produce identical statistics for the
 same access sequence, warmup split, and configuration — the streaming
-path feeds the same execution engine, one chunk at a time.
-
-The hot loop itself lives behind the engine registry
-(:mod:`repro.engine`): ``config.engine`` selects the backend
-(``scalar``, the no-dependency default, or ``vectorized``, the NumPy
-batched loop), and the ``REPRO_ENGINE`` environment variable overrides
-it at build time — engines are bit-identical by contract, so the
-override is a pure performance knob that cannot change results.
+path feeds the same core loop
+(:meth:`~repro.cpu.core.OutOfOrderCore.run_span`), one chunk at a time.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Union
@@ -26,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.core.hermes import HermesEngine, HermesStats
 from repro.cpu.core import CoreStats, OutOfOrderCore
 from repro.dram.controller import MemoryController
-from repro.engine import Engine, check_engine, make_engine
 from repro.memory.hierarchy import CacheHierarchy, HierarchyStats
 from repro.offchip.base import OffChipPredictor, PredictorStats
 from repro.offchip.factory import make_predictor
@@ -47,7 +39,6 @@ class System:
     core: OutOfOrderCore
     hermes: Optional[HermesEngine]
     predictor: Optional[OffChipPredictor]
-    engine: Engine
 
     def reset_stats(self) -> None:
         """Replace every statistics object (used after the warmup phase)."""
@@ -84,16 +75,9 @@ def build_system(config: SystemConfig,
             predictor.bind_oracle(hierarchy.would_go_offchip)
         hermes = HermesEngine(predictor, memory_controller, config.hermes)
     core = OutOfOrderCore(hierarchy, hermes=hermes, config=config.core)
-    engine_name = os.environ.get("REPRO_ENGINE") or config.engine
-    if engine_name != config.engine:
-        # The env override bypasses validate(); check it the same way so
-        # a bad REPRO_ENGINE fails with the same actionable error.
-        check_engine(engine_name)
-    engine = make_engine(engine_name, core=core, hierarchy=hierarchy,
-                         hermes=hermes)
     return System(config=config, hierarchy=hierarchy,
                   memory_controller=memory_controller, core=core,
-                  hermes=hermes, predictor=predictor, engine=engine)
+                  hermes=hermes, predictor=predictor)
 
 
 def simulate_trace(config: SystemConfig, trace: Trace,
@@ -115,16 +99,15 @@ def simulate_trace(config: SystemConfig, trace: Trace,
     warmup_count = int(total * config.warmup_fraction)
 
     core = system.core
-    engine = system.engine
     core.begin()
-    # The engine iterates the shared access list in place — no per-run
+    # The loop iterates the shared access list in place — no per-run
     # copy of the (potentially huge) trace.
-    engine.run_span(accesses, 0, warmup_count)
+    core.run_span(accesses, 0, warmup_count)
     if warmup_count:
         # Keep microarchitectural state, discard warmup statistics.
         system.reset_stats()
         core.stats = CoreStats()
-    engine.run_span(accesses, warmup_count, total)
+    core.run_span(accesses, warmup_count, total)
     core_stats = core.finalize()
 
     return _collect(system, trace, core_stats)
@@ -172,7 +155,6 @@ def simulate_stream(config: SystemConfig,
     warmup_count = int(length * config.warmup_fraction) if length else 0
 
     core = system.core
-    engine = system.engine
     core.begin()
     source = iter(stream)
     if max_accesses is not None:
@@ -187,18 +169,18 @@ def simulate_stream(config: SystemConfig,
         if not measuring:
             boundary = warmup_count - position
             if boundary >= len(chunk):
-                engine.run_span(chunk, 0, len(chunk))
+                core.run_span(chunk, 0, len(chunk))
                 position += len(chunk)
                 continue
             if boundary:
-                engine.run_span(chunk, 0, boundary)
+                core.run_span(chunk, 0, boundary)
             # Keep microarchitectural state, discard warmup statistics
             # (mirrors simulate_trace's split).
             system.reset_stats()
             core.stats = CoreStats()
             measuring = True
             start = boundary
-        engine.run_span(chunk, start, len(chunk))
+        core.run_span(chunk, start, len(chunk))
         position += len(chunk)
     if not measuring:
         # The source ended inside the warmup phase: its declared length

@@ -45,8 +45,37 @@ def test_instruction_accounting():
 
 def test_step_requires_begin():
     core, _ = make_core()
+    accesses = hit_heavy_trace(10).accesses
     with pytest.raises(RuntimeError):
-        core.step(MemoryAccess(pc=0x400, address=0x1000))
+        core.run_span(accesses, 0, 10)
+    with pytest.raises(RuntimeError):
+        core.open_span(accesses, 0, 10, rank=0)
+    core.begin()
+    with pytest.raises(RuntimeError):
+        core.step(None)  # no span open
+
+
+def test_bounded_steps_match_one_span():
+    # Pausing a span at bounds changes when the loop runs, not what it
+    # computes: stepping through it matches one unbounded run_span.
+    import random
+    rng = random.Random(5)
+    trace = make_trace([MemoryAccess(pc=0x800, address=rng.randrange(1 << 20) * 64,
+                                     nonmem_before=4)
+                        for _ in range(400)])
+    expected = make_core()[0].run(trace)
+    core, _ = make_core()
+    core.begin()
+    core.open_span(trace.accesses, 0, len(trace.accesses), rank=1)
+    bound = 0.0
+    pauses = 0
+    while core.step((bound, 0)):
+        # Paused at the first access past the bound (rank 1 loses ties).
+        assert core.current_cycle >= bound
+        bound = core.current_cycle + 50
+        pauses += 1
+    assert pauses > 10
+    assert core.finalize().as_dict() == expected.as_dict()
 
 
 def test_hit_heavy_trace_reaches_near_fetch_width_ipc():

@@ -1,11 +1,10 @@
-"""Tests for the pluggable execution-engine registry (repro.engine).
+"""Tests for :mod:`repro.engine` and the span boundaries of the core loop.
 
-The bit-identity contract itself is gated by the golden-equivalence
-suite (every fixture cell runs under every engine); these tests cover
-the registry plumbing, graceful degradation without NumPy, the
-cross-engine identity of awkward span boundaries (warmup splits inside
-a streaming chunk, chunks smaller than a batch, empty traces), and the
-cache-key invariance that licenses sharing results across engines.
+``SystemConfig.engine`` names the one core loop and accepts only
+``scalar``; these tests cover that check, the cache-key invariance that
+keeps the field out of result identity, a run with NumPy unimportable,
+and awkward span boundaries (warmup splits inside a streaming chunk,
+tiny chunks, empty traces), which must match one in-memory span.
 """
 
 from __future__ import annotations
@@ -19,164 +18,96 @@ from pathlib import Path
 
 import pytest
 
-import repro.engine as engine_mod
-from repro.engine import (
-    EngineUnavailableError,
-    available_engines,
-    check_engine,
-    engine_registry,
-    make_engine,
-    numpy_or_none,
-)
-from repro.engine.scalar import ScalarEngine
+from repro.engine import ENGINES, check_engine
+from repro.perf.golden import fingerprint_single
 from repro.registry import UnknownComponentError
 from repro.runner.job import SimJob
 from repro.sim.config import SystemConfig
-from repro.sim.simulator import build_system, simulate_stream, simulate_trace
+from repro.sim.simulator import simulate_stream, simulate_trace
 from repro.workloads.suite import make_trace
 from repro.workloads.trace import Trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-HAVE_NUMPY = numpy_or_none() is not None
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed")
-
-
-def _result_dict(result):
-    # The golden fingerprint captures every stat group (core, hierarchy,
-    # per-cache, predictor, Hermes, prefetcher) — far stricter than the
-    # flat summary dict.
-    from repro.perf.golden import fingerprint_single
-    return fingerprint_single(result)
-
 
 # ---------------------------------------------------------------------- #
-# Registry & availability
+# The engine name
 # ---------------------------------------------------------------------- #
-
-def test_both_engines_are_registered():
-    names = engine_registry.names()
-    assert "scalar" in names
-    assert "vectorized" in names
-
 
 def test_scalar_engine_is_always_available():
-    infos = {info.name: info for info in available_engines()}
-    assert infos["scalar"].available
-    assert infos["scalar"].requires == ""
+    assert ENGINES == ("scalar",)
+    assert SystemConfig().engine == "scalar"
+    check_engine("scalar")
+    check_engine("Scalar")
 
 
 def test_unknown_engine_raises_with_known_names():
-    with pytest.raises(UnknownComponentError) as excinfo:
-        check_engine("warp-drive")
-    message = str(excinfo.value)
-    assert "warp-drive" in message
-    assert "scalar" in message
+    for name in ("warp-drive", "vectorized"):
+        with pytest.raises(UnknownComponentError) as excinfo:
+            check_engine(name)
+        message = str(excinfo.value)
+        assert name in message
+        assert "scalar" in message
 
 
 def test_config_validate_rejects_unknown_engine():
-    config = dataclasses.replace(SystemConfig.no_prefetching(),
-                                 engine="warp-drive")
-    with pytest.raises(UnknownComponentError):
-        config.validate()
+    for name in ("warp-drive", "vectorized"):
+        config = dataclasses.replace(SystemConfig.no_prefetching(),
+                                     engine=name)
+        with pytest.raises(UnknownComponentError, match="scalar"):
+            config.validate()
 
 
-def test_vectorized_without_numpy_degrades_gracefully(monkeypatch):
-    monkeypatch.setattr(engine_mod, "numpy_or_none", lambda: None)
-    with pytest.raises(EngineUnavailableError) as excinfo:
-        check_engine("vectorized")
-    message = str(excinfo.value)
-    assert "NumPy" in message
-    assert "pip install .[fast]" in message
-    assert "scalar" in message  # names the engines that *are* usable
-    # SystemConfig.validate() surfaces the same error before any
-    # simulation work starts.
-    config = dataclasses.replace(SystemConfig.no_prefetching(),
-                                 engine="vectorized")
-    with pytest.raises(EngineUnavailableError):
-        config.validate()
-    # And the availability listing reports the requirement.
-    infos = {info.name: info for info in available_engines()}
-    assert not infos["vectorized"].available
-    assert "NumPy" in infos["vectorized"].requires
-
-
-def test_build_system_honors_engine_field():
-    config = SystemConfig.no_prefetching()
-    system = build_system(config)
-    assert isinstance(system.engine, ScalarEngine)
-
-
-@needs_numpy
-def test_build_system_honors_repro_engine_env(monkeypatch):
-    from repro.engine.vectorized import VectorizedEngine
-    monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-    system = build_system(SystemConfig.no_prefetching())
-    assert isinstance(system.engine, VectorizedEngine)
-
-
-def test_bad_repro_engine_env_fails_actionably(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
-    with pytest.raises(UnknownComponentError):
-        build_system(SystemConfig.no_prefetching())
-
-
-def test_make_engine_requires_known_name():
-    config = SystemConfig.no_prefetching()
-    system = build_system(config)
-    with pytest.raises(UnknownComponentError):
-        make_engine("warp-drive", core=system.core,
-                    hierarchy=system.hierarchy, hermes=system.hermes)
+def test_cli_reports_unknown_engine_with_exit_2(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC)
+    for name in ("warp-drive", "vectorized"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--workload", "ligra.bfs",
+             "--accesses", "400", "--set", f"engine={name}",
+             "--output", str(tmp_path / "out.json")],
+            capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 2
+        stderr = proc.stderr.decode()
+        assert name in stderr
+        assert "scalar" in stderr
+        assert "Traceback" not in stderr
 
 
 # ---------------------------------------------------------------------- #
-# Cross-engine identity on awkward span boundaries
+# Span boundaries: streaming chunks and warmup splits
 # ---------------------------------------------------------------------- #
 
-def _config_pair(base):
-    scalar = dataclasses.replace(base, engine="scalar")
-    vectorized = dataclasses.replace(base, engine="vectorized")
-    return scalar, vectorized
-
-
-@needs_numpy
 def test_warmup_split_mid_chunk_is_identical():
     # 2000 accesses, warmup_fraction 0.25 -> boundary at 500, inside the
-    # first 700-access chunk: the vectorized engine must split a batch
-    # at the stats-reset boundary exactly like the scalar loop.
-    base = SystemConfig.with_hermes("popet", prefetcher="spp")
+    # first 700-access chunk: the stats reset must split the span exactly
+    # where the in-memory run splits it.
+    config = SystemConfig.with_hermes("popet", prefetcher="spp")
     trace = make_trace("spec06.mcf_chase", 2000)
-    scalar_cfg, vectorized_cfg = _config_pair(base)
-    expected = _result_dict(simulate_trace(scalar_cfg, trace))
+    expected = fingerprint_single(simulate_trace(config, trace))
     for chunk_size in (700, 2000):
-        streamed = simulate_stream(vectorized_cfg, trace,
-                                   chunk_size=chunk_size)
-        assert _result_dict(streamed) == expected, f"chunk_size={chunk_size}"
+        streamed = simulate_stream(config, trace, chunk_size=chunk_size)
+        assert fingerprint_single(streamed) == expected, f"chunk_size={chunk_size}"
 
 
-@needs_numpy
 def test_stream_chunks_smaller_than_batch_are_identical():
-    # Tiny chunks force the vectorized engine through its span-
-    # continuation path (and, for 1-access chunks, batches of one).
-    base = SystemConfig.baseline("pythia")
+    # Chunks down to one access: every chunk is its own span.
+    config = SystemConfig.baseline("pythia")
     trace = make_trace("ligra.bfs", 600)
-    scalar_cfg, vectorized_cfg = _config_pair(base)
-    expected = _result_dict(simulate_stream(scalar_cfg, trace, chunk_size=64))
+    expected = fingerprint_single(simulate_trace(config, trace))
     for chunk_size in (64, 7, 1):
-        streamed = simulate_stream(vectorized_cfg, trace,
-                                   chunk_size=chunk_size)
-        assert _result_dict(streamed) == expected, f"chunk_size={chunk_size}"
+        streamed = simulate_stream(config, trace, chunk_size=chunk_size)
+        assert fingerprint_single(streamed) == expected, f"chunk_size={chunk_size}"
 
 
-@needs_numpy
 def test_empty_trace_is_identical():
     trace = Trace(name="empty", category="synthetic", accesses=[])
-    scalar_cfg, vectorized_cfg = _config_pair(SystemConfig.no_prefetching())
-    scalar = _result_dict(simulate_trace(scalar_cfg, trace))
-    vectorized_result = simulate_trace(vectorized_cfg, trace)
-    assert scalar == _result_dict(vectorized_result)
-    assert vectorized_result.core.memory_instructions == 0
+    config = SystemConfig.no_prefetching()
+    result = simulate_trace(config, trace)
+    assert result.core.memory_instructions == 0
+    assert (fingerprint_single(simulate_stream(config, trace))
+            == fingerprint_single(result))
 
 
 # ---------------------------------------------------------------------- #
@@ -184,13 +115,13 @@ def test_empty_trace_is_identical():
 # ---------------------------------------------------------------------- #
 
 def test_job_key_is_engine_invariant():
+    # Configs written while the field had other legal values still load;
+    # their job keys must match the scalar config's.
     base = SystemConfig.with_hermes("popet", prefetcher="pythia")
-    scalar_cfg, vectorized_cfg = _config_pair(base)
-    scalar_key = SimJob(config=scalar_cfg, workload="spec06.mcf_chase",
-                        num_accesses=5000).key()
-    vectorized_key = SimJob(config=vectorized_cfg, workload="spec06.mcf_chase",
-                            num_accesses=5000).key()
-    assert scalar_key == vectorized_key
+    keys = {SimJob(config=dataclasses.replace(base, engine=name),
+                   workload="spec06.mcf_chase", num_accesses=5000).key()
+            for name in ("scalar", "vectorized")}
+    assert len(keys) == 1
 
 
 def test_job_keys_unchanged_for_existing_scalar_configs():
@@ -208,50 +139,33 @@ def test_job_keys_unchanged_for_existing_scalar_configs():
 
 
 # ---------------------------------------------------------------------- #
-# Scalar engine runs on an interpreter with no NumPy at all
+# Simulation needs no NumPy
 # ---------------------------------------------------------------------- #
 
 def test_scalar_simulation_runs_without_numpy(tmp_path):
-    # Shadow numpy with an import-bomb ahead of site-packages: the
-    # default (scalar) configuration must simulate fine, and the
-    # vectorized engine must fail with the install hint.
+    # Shadow numpy with an import-bomb ahead of site-packages: single-
+    # and multi-core simulation must run, and never try to import it.
     stub = tmp_path / "numpy.py"
     stub.write_text("raise ImportError('numpy stubbed out for this test')\n")
     script = textwrap.dedent("""
-        from repro.engine import EngineUnavailableError, check_engine
+        import sys
+        from repro.engine import numpy_or_none
         from repro.sim.config import SystemConfig
+        from repro.sim.multicore import simulate_multicore
         from repro.sim.simulator import simulate_trace
         from repro.workloads.suite import make_trace
 
-        result = simulate_trace(SystemConfig.no_prefetching(),
-                                make_trace("cvp.server_int", 400))
-        assert result.core.memory_instructions > 0
-        try:
-            check_engine("vectorized")
-        except EngineUnavailableError as exc:
-            assert "pip install .[fast]" in str(exc)
-        else:
-            raise AssertionError("vectorized should be unavailable")
+        config = SystemConfig.with_hermes("popet", prefetcher="spp")
+        trace = make_trace("cvp.server_int", 400)
+        assert simulate_trace(config, trace).core.memory_instructions > 0
+        assert simulate_multicore(config, [trace, trace]).per_core
+        assert "numpy" not in sys.modules
+        assert numpy_or_none() is None
         print("OK")
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), str(SRC)])
-    env.pop("REPRO_ENGINE", None)
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"OK" in proc.stdout
-
-
-def test_cli_reports_unknown_engine_with_exit_2(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "run", "--workload", "ligra.bfs",
-         "--accesses", "400", "--set", "engine=warp-drive",
-         "--output", str(tmp_path / "out.json")],
-        capture_output=True, env=env, timeout=300)
-    assert proc.returncode == 2
-    stderr = proc.stderr.decode()
-    assert "warp-drive" in stderr
-    assert "scalar" in stderr

@@ -7,10 +7,9 @@ zero-allocation refactor; these tests re-run the same pinned matrix —
 multi-core — and require every statistic to match exactly.  Any drift
 means the perf work changed simulation semantics.
 
-The single-core matrix runs once per registered *engine* (scalar and,
-when NumPy is importable, vectorized): both backends must reproduce the
-same fixture bit-for-bit, which is what licenses sharing result-cache
-entries across engines.
+The single-core matrix runs once per legal ``SystemConfig.engine``
+value (only ``scalar`` today).  The multicore mixes pin the order in
+which the driver interleaves cores over the shared LLC and DRAM.
 
 If a later PR *intentionally* changes results, regenerate the fixture and
 say so in the PR description.
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import available_engines
+from repro.engine import ENGINES
 from repro.perf.golden import (
     GOLDEN_ACCESSES,
     GOLDEN_MIX_ACCESSES,
@@ -47,13 +46,6 @@ FIXTURE_PATH = Path(__file__).parent / "golden" / "golden_stats.json"
 MATRIX = [(prefetcher, predictor)
           for prefetcher in GOLDEN_PREFETCHERS
           for predictor in GOLDEN_PREDICTORS]
-
-ENGINES = [
-    pytest.param(info.name,
-                 marks=() if info.available
-                 else pytest.mark.skip(reason=f"requires {info.requires}"))
-    for info in available_engines()
-]
 
 
 @pytest.fixture(scope="module")

@@ -357,62 +357,6 @@ def test_rl005_clean_inherited_and_unresolvable_cases(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# RL006 — cross-engine counter parity
-# --------------------------------------------------------------------- #
-
-SCALAR_CORE = """\
-    '''Fixture.'''
-
-
-    class Core:
-        '''doc'''
-
-        def run_span(self, stats):
-            '''doc'''
-            stats.loads += 1
-            stats.exotic_counter += 1
-"""
-
-VECTORIZED = """\
-    '''Fixture.'''
-
-
-    class Vec:
-        '''doc'''
-
-        def flush(self, stats):
-            '''doc'''
-            stats.loads += 1
-            {mirror}
-"""
-
-
-def test_rl006_flags_unmirrored_counter(tmp_path):
-    write_tree(tmp_path, {
-        "src/repro/cpu/core.py": SCALAR_CORE,
-        "src/repro/engine/vectorized.py": VECTORIZED.format(mirror="pass"),
-    })
-    report = run_rules(tmp_path, ["RL006"])
-    assert report.exit_code == 1
-    assert len(report.diagnostics) == 1
-    diag = report.diagnostics[0]
-    assert "stats.exotic_counter" in diag.message
-    assert diag.path == "src/repro/cpu/core.py"
-
-
-def test_rl006_clean_when_mirrored_or_out_of_scope(tmp_path):
-    write_tree(tmp_path, {
-        "src/repro/cpu/core.py": SCALAR_CORE,
-        "src/repro/engine/vectorized.py":
-            VECTORIZED.format(mirror="stats.exotic_counter += 1"),
-    })
-    assert run_rules(tmp_path, ["RL006"]).exit_code == 0
-    # With the vectorized module out of scope there is nothing to diff.
-    write_tree(tmp_path / "solo", {"src/repro/cpu/core.py": SCALAR_CORE})
-    assert run_rules(tmp_path / "solo", ["RL006"]).exit_code == 0
-
-
-# --------------------------------------------------------------------- #
 # RL007 — docstrings (the absorbed tools/check_docstrings.py policy)
 # --------------------------------------------------------------------- #
 

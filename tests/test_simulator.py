@@ -1,10 +1,11 @@
-"""Unit tests for the configuration dataclasses and single-core simulator."""
+"""Unit tests for the configuration dataclasses and the simulation drivers."""
 
 import pytest
 
 from repro.core.hermes import HermesConfig
 from repro.offchip.popet import POPET
 from repro.sim.config import SystemConfig
+from repro.sim.multicore import simulate_multicore
 from repro.sim.simulator import build_system, simulate_suite, simulate_trace
 from repro.workloads.suite import make_trace
 
@@ -115,3 +116,34 @@ def test_simulate_suite_runs_every_trace(small_irregular_trace, small_streaming_
                              [small_irregular_trace, small_streaming_trace])
     assert [r.workload for r in results] == [small_irregular_trace.name,
                                              small_streaming_trace.name]
+
+
+# ---------------------------------------------------------------------- #
+# One core through the multicore driver
+# ---------------------------------------------------------------------- #
+
+ONE_CORE_CONFIGS = [
+    SystemConfig.no_prefetching(),
+    SystemConfig.baseline("spp"),
+    SystemConfig.with_hermes("popet", prefetcher="pythia"),
+    SystemConfig.with_hermes("ideal"),
+]
+CONFUSION = ("true_positives", "false_positives", "true_negatives",
+             "false_negatives")
+
+
+@pytest.mark.parametrize("trace_fixture",
+                         ["small_irregular_trace", "small_graph_trace"])
+@pytest.mark.parametrize("config", ONE_CORE_CONFIGS,
+                         ids=[config.label for config in ONE_CORE_CONFIGS])
+def test_one_core_multicore_run_matches_single_core(request, config,
+                                                    trace_fixture):
+    # Both drivers must split warmup from measurement at the same access
+    # and count the same events on either side of it.
+    trace = request.getfixturevalue(trace_fixture)
+    single = simulate_trace(config, trace)
+    multi = simulate_multicore(config, [trace], dram_config=config.dram)
+    assert multi.per_core[0].as_dict() == single.core.as_dict()
+    assert multi.memory_controller == single.memory_controller
+    assert ({key: multi.predictor.get(key) for key in CONFUSION}
+            == {key: single.predictor.get(key) for key in CONFUSION})
