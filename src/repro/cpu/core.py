@@ -265,7 +265,6 @@ class OutOfOrderCore:
         # The bound as a cycle limit: past it when above the limit, or at
         # it when this core ranks after the bound's core.  No cycle is
         # below -1, so the first access pauses to receive the first bound.
-        unbounded = float("inf")
         limit = -1.0
         tie_pauses = False
 
@@ -306,7 +305,7 @@ class OutOfOrderCore:
                 self._dispatch_cycle = dispatch_cycle
                 bound = yield
                 if bound is None:
-                    limit = unbounded
+                    limit = float("inf")
                 else:
                     limit, bound_rank = bound
                     tie_pauses = rank > bound_rank

@@ -122,7 +122,7 @@ def simulate_multicore(config: SystemConfig, traces: Sequence[Trace],
         core.begin()
         core.open_span(accesses, 0, warmup_limits[index] or len(accesses),
                        index)
-        heap.append((0.0, index))
+        heapq.heappush(heap, (0.0, index))
     while heap:
         _, index = heapq.heappop(heap)
         core = cores[index]
