@@ -143,12 +143,16 @@ def test_job_keys_unchanged_for_existing_scalar_configs():
 # ---------------------------------------------------------------------- #
 
 def test_scalar_simulation_runs_without_numpy(tmp_path):
-    # Shadow numpy with an import-bomb ahead of site-packages: single-
-    # and multi-core simulation must run, and never try to import it.
+    # Shadow numpy with an import-bomb ahead of site-packages that
+    # records each attempt: single- and multi-core simulation must run,
+    # and never try to import it.
     stub = tmp_path / "numpy.py"
-    stub.write_text("raise ImportError('numpy stubbed out for this test')\n")
+    stub.write_text("import builtins\n"
+                    "builtins.numpy_import_attempts += 1\n"
+                    "raise ImportError('numpy stubbed out for this test')\n")
     script = textwrap.dedent("""
-        import sys
+        import builtins
+        builtins.numpy_import_attempts = 0
         from repro.engine import numpy_or_none
         from repro.sim.config import SystemConfig
         from repro.sim.multicore import simulate_multicore
@@ -159,8 +163,9 @@ def test_scalar_simulation_runs_without_numpy(tmp_path):
         trace = make_trace("cvp.server_int", 400)
         assert simulate_trace(config, trace).core.memory_instructions > 0
         assert simulate_multicore(config, [trace, trace]).per_core
-        assert "numpy" not in sys.modules
+        assert builtins.numpy_import_attempts == 0
         assert numpy_or_none() is None
+        assert builtins.numpy_import_attempts == 1
         print("OK")
     """)
     env = dict(os.environ)
