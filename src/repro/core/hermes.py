@@ -108,7 +108,7 @@ class HermesDecision:
 class HermesEngine:
     """Couples an off-chip predictor with the main-memory controller.
 
-    The core loop (:meth:`repro.cpu.core.OutOfOrderCore.run_span`)
+    The core loop (:meth:`repro.cpu.core.OutOfOrderCore._span_loop`)
     inlines :meth:`predict_and_issue` and :meth:`train` statement for
     statement.  The methods remain the per-load form of those steps:
     ``tests/test_hermes_engine.py`` checks the loop against them, and

@@ -21,6 +21,8 @@ a generator.  The single-core drivers run a span to its end
 per core (:meth:`~OutOfOrderCore.open_span`) and resumes each one
 (:meth:`~OutOfOrderCore.step`) until its clock passes the next core's,
 interleaving several cores over a shared LLC and memory controller.
+On the paper's Table 4 system the loop also runs POPET and the common
+L1/L2 load paths inline instead of calling them.
 
 The in-flight load window is a ring buffer of parallel preallocated
 lists (instruction index, completion cycle, off-chip flag, on-chip
@@ -35,12 +37,26 @@ from typing import Dict, Generator, Optional, Tuple
 from repro.config.schema import SerializableConfig
 from repro.core.hermes import HermesEngine
 from repro.dram.controller import RequestSource
+from repro.memory.address import BLOCK_BITS, PAGE_BITS, PAGE_SIZE
+from repro.memory.cache import (
+    FLAG_DIRTY,
+    FLAG_PREFETCHED,
+    FLAG_REUSED,
+    FLAG_VALID,
+)
 from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.replacement import LRUPolicy
+from repro.offchip.popet import POPET, WEIGHT_MAX, WEIGHT_MIN
 from repro.workloads.trace import Trace
 
 #: A multicore scheduling bound: another core's (frontend cycle, rank)
 #: heap key, or ``None`` for no bound.
 Bound = Optional[Tuple[float, int]]
+
+_PAGE_OFFSET_MASK = PAGE_SIZE - 1
+_BLOCK_OFFSET_MASK = (1 << BLOCK_BITS) - 1
+#: POPET hashes 64-bit feature values.
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -224,18 +240,66 @@ class OutOfOrderCore:
         passed the current bound, and each resume sends the next bound.
         It starts paused, before its first access; it never pauses after
         its last one, so the driver acts on a span's end (a warmup stats
-        reset) before any other core runs.  While the loop is paused, only
-        ``_dispatch_cycle`` is current on the instance.
+        reset) before any other core runs.  While the loop is paused,
+        only ``_dispatch_cycle`` and POPET's PC-history head are current
+        on the instances.
+
+        On the Table 4 system the loop runs the common per-load work of
+        the layers below it inline, statement for statement:
+
+        * POPET's ``predict`` and ``train``, when the predictor is
+          exactly :class:`~repro.offchip.popet.POPET` with its default
+          feature set (``_use_fused``);
+        * ``CacheHierarchy.load`` for an L1 hit (with or without an MSHR
+          entry still recorded), an L1 MSHR merge, and an L2 hit with its
+          L1 fill, when the hierarchy is exactly
+          :class:`~repro.memory.hierarchy.CacheHierarchy` with LRU L1 and
+          L2.  An L2 miss calls ``CacheHierarchy._post_l2``.
+
+        Everything else calls the layer methods: stores, other
+        predictors, subclasses and replacement policies.  The inlined
+        paths' per-core counters (L1, L2, hierarchy, Hermes, POPET) are
+        batched in locals too; the shared LLC and memory controller are
+        only reached through calls, which update them in place.
         """
         stats = self.stats
         hierarchy = self.hierarchy
         hermes = self.hermes
         hierarchy_load = hierarchy.load
         hierarchy_store = hierarchy.store
+        l1d = hierarchy.l1d
+        l2 = hierarchy.l2
+        inline_memory = (type(hierarchy) is CacheHierarchy
+                         and type(l1d.replacement) is LRUPolicy
+                         and type(l2.replacement) is LRUPolicy)
+        if inline_memory:
+            post_l2 = hierarchy._post_l2
+            l1_where = l1d._where
+            l1_where_get = l1d._where_get
+            l1_tags = l1d._tags
+            l1_flags = l1d._flags
+            l1_valid_count = l1d._valid_count
+            l1_ways = l1d.num_ways
+            l1_sets = l1d.num_sets
+            l1_set_mask = l1d._set_mask
+            l1_use_mask = l1d._use_mask
+            l1_age = l1d.replacement._age
+            l1_clock = l1d.replacement._clock
+            l1_mshr = l1d._mshr
+            l1_mshr_get = l1_mshr.get
+            l1_fill = l1d.fill
+            l2_where_get = l2._where_get
+            l2_flags = l2._flags
+            l2_ways = l2.num_ways
+            l2_age = l2.replacement._age
+            l2_clock = l2.replacement._clock
+            l2_fill = l2.fill
+            l2_onchip = hierarchy._l2_onchip
+        inline_popet = False
         if hermes is not None:
-            predictor_predict = hermes.predictor.predict
-            predictor_train = hermes.predictor.train
-            hermes_stats = hermes.stats
+            predictor = hermes.predictor
+            predictor_predict = predictor.predict
+            predictor_train = predictor.train
             hermes_context = hermes._context
             hermes_enabled = hermes._enabled
             hermes_request_delay = hermes._request_delay
@@ -244,6 +308,27 @@ class OutOfOrderCore:
             mc_access = hermes.memory_controller.access
             mc_drain = hermes.memory_controller.drain_unclaimed_hermes
             hermes_source = RequestSource.HERMES
+            inline_popet = type(predictor) is POPET and predictor._use_fused
+            if inline_popet:
+                popet_config = predictor.config
+                activation_threshold = popet_config.activation_threshold
+                train_low = popet_config.negative_training_threshold
+                train_high = popet_config.positive_training_threshold
+                weights0, weights1, weights2, weights3, weights4 = predictor.weights
+                memo0_get = predictor._ix0_cache.get
+                memo1_get = predictor._ix1_cache.get
+                memo2_get = predictor._ix2_cache.get
+                memo4_get = predictor._ix4_cache.get
+                memo_index = predictor._memo_index
+                page_buffer = predictor.extractor.page_buffer
+                page_entries = page_buffer.entries
+                pages = page_buffer._buffer
+                pages_get = pages.get
+                pages_move_to_end = pages.move_to_end
+                pages_popitem = pages.popitem
+                history = predictor.extractor.pc_history
+                history_pcs = history._pcs
+                history_head = history._head
         fetch_width = self._fetch_width
         rob_size = self._rob_size
         lq_size = self._lq_size
@@ -258,10 +343,17 @@ class OutOfOrderCore:
         dispatch_cycle = self._dispatch_cycle
         instruction_index = self._instruction_index
         previous_load_completion = self._previous_load_completion
-        # Batched statistics (flushed to self.stats after the span).
+        # Batched statistics (flushed to the stats objects after the span).
         n_loads = n_stores = 0
         n_offchip = n_blocking = n_nonblocking = 0
         stall_offchip = stall_onchip_portion = stall_other = 0
+        n_l1_hits = n_l1_useful = n_l1_merges = n_l1_evictions = 0
+        n_l1_writebacks = n_l2_accesses = n_l2_hits = n_l2_useful = 0
+        load_latency = n_hierarchy_offchip = offchip_latency = 0
+        offchip_onchip_latency = 0
+        n_issued = n_useful = 0
+        n_true_pos = n_false_pos = n_true_neg = n_false_neg = 0
+        n_trained = n_saturated = 0
         # The bound as a cycle limit: past it when above the limit, or at
         # it when this core ranks after the bound's core.  No cycle is
         # below -1, so the first access pauses to receive the first bound.
@@ -303,6 +395,8 @@ class OutOfOrderCore:
         for position in range(start, stop):
             if dispatch_cycle >= limit and (dispatch_cycle > limit or tie_pauses):
                 self._dispatch_cycle = dispatch_cycle
+                if inline_popet:
+                    history._head = history_head
                 bound = yield
                 if bound is None:
                     limit = float("inf")
@@ -332,60 +426,243 @@ class OutOfOrderCore:
             if access.depends_on_previous_load and previous_load_completion > issue_cycle:
                 issue_cycle = previous_load_completion
 
-            if access.is_load:
-                pc = access.pc
-                address = access.address
-                if hermes is not None:
-                    # Predict at load-queue allocation; a predicted
-                    # off-chip load sends a Hermes request straight to the
-                    # memory controller (Section 5 of the paper).
-                    hermes_stats.loads_seen += 1
-                    hermes_context.pc = pc
-                    hermes_context.address = address
-                    hermes_context.cycle = issue_cycle
-                    record = predictor_predict(hermes_context)
-                    if hermes_enabled and record.predicted_offchip:
-                        hermes_stats.predicted_offchip += 1
-                        hermes_ready = mc_access(
-                            address, issue_cycle + hermes_request_delay,
-                            hermes_source)
-                        hermes_stats.hermes_requests_issued += 1
-                    else:
-                        hermes_ready = None
-                    hermes_loads_since_drain += 1
-                    if hermes_loads_since_drain >= hermes_drain_interval:
-                        hermes_loads_since_drain = 0
-                        mc_drain(issue_cycle)
-                    outcome = hierarchy_load(address, pc, issue_cycle,
-                                             hermes_ready)
-                    # Train the predictor with the load's true outcome.
-                    if outcome.hermes_used:
-                        hermes_stats.hermes_requests_useful += 1
-                    predictor_train(record, outcome.went_offchip)
-                else:
-                    outcome = hierarchy_load(address, pc, issue_cycle)
-                completion = outcome.completion_cycle
-                previous_load_completion = completion
-                n_loads += 1
-                tail = head + count
-                if tail >= capacity:
-                    tail -= capacity
-                indices[tail] = instruction_index
-                completions[tail] = completion
-                offchips[tail] = outcome.went_offchip
-                onchips[tail] = outcome.onchip_latency
-                count += 1
-                if count > lq_size:
-                    pop_oldest_stall()
-            else:
+            if not access.is_load:
                 # Stores update cache state but retire off the critical
                 # path through the store queue.
                 hierarchy_store(access.address, access.pc, issue_cycle)
                 n_stores += 1
+                continue
 
-        # Flush span state and counters back to the instance.
-        if hermes is not None:
-            hermes._loads_since_drain = hermes_loads_since_drain
+            pc = access.pc
+            address = access.address
+            hermes_ready = None
+            if hermes is not None:
+                # Predict at load-queue allocation; a predicted off-chip
+                # load sends a Hermes request straight to the memory
+                # controller (Section 5 of the paper).
+                if inline_popet:
+                    # POPET.predict: page buffer (PageBuffer.first_access),
+                    # PC history push, the five table indices, the sum.
+                    page = address >> PAGE_BITS
+                    cl_offset = (address & _PAGE_OFFSET_MASK) >> BLOCK_BITS
+                    line_bit = 1 << cl_offset
+                    bitmap = pages_get(page)
+                    if bitmap is None:
+                        if len(pages) >= page_entries:
+                            pages_popitem(False)
+                        pages[page] = line_bit
+                        first = 1
+                    else:
+                        pages_move_to_end(page)
+                        if bitmap & line_bit:
+                            first = 0
+                        else:
+                            pages[page] = bitmap | line_bit
+                            first = 1
+                    history_pcs[history_head] = pc
+                    history_head += 1
+                    if history_head == 4:
+                        history_head = 0
+                    key = (pc << BLOCK_BITS) | cl_offset
+                    index0 = memo0_get(key, -1)
+                    if index0 < 0:
+                        index0 = memo_index(0, key)
+                    key = (pc << BLOCK_BITS) | (address & _BLOCK_OFFSET_MASK)
+                    index1 = memo1_get(key, -1)
+                    if index1 < 0:
+                        index1 = memo_index(1, key)
+                    key = (pc << 1) | first
+                    index2 = memo2_get(key, -1)
+                    if index2 < 0:
+                        index2 = memo_index(2, key)
+                    # cl_offset_first_access fits its 128-entry table.
+                    index3 = (cl_offset << 1) | first
+                    # last_4_load_pcs: the history's shifted XOR, oldest first.
+                    key = (history_pcs[history_head]
+                           ^ (history_pcs[history_head - 3] << 1)
+                           ^ (history_pcs[history_head - 2] << 2)
+                           ^ (history_pcs[history_head - 1] << 3)) & _MASK64
+                    index4 = memo4_get(key, -1)
+                    if index4 < 0:
+                        index4 = memo_index(4, key)
+                    total = (weights0[index0] + weights1[index1]
+                             + weights2[index2] + weights3[index3]
+                             + weights4[index4])
+                    predicted = total >= activation_threshold
+                else:
+                    hermes_context.pc = pc
+                    hermes_context.address = address
+                    hermes_context.cycle = issue_cycle
+                    record = predictor_predict(hermes_context)
+                    predicted = record.predicted_offchip
+                if hermes_enabled and predicted:
+                    hermes_ready = mc_access(
+                        address, issue_cycle + hermes_request_delay,
+                        hermes_source)
+                    n_issued += 1
+                hermes_loads_since_drain += 1
+                if hermes_loads_since_drain >= hermes_drain_interval:
+                    hermes_loads_since_drain = 0
+                    mc_drain(issue_cycle)
+
+            if inline_memory:
+                # CacheHierarchy.load, up to an L2 miss.
+                completion = issue_cycle + l1_latency
+                onchip_latency = l1_latency
+                went_offchip = hermes_used = False
+                block = address >> BLOCK_BITS
+                slot = l1_where_get(block, -1)
+                if slot >= 0:
+                    # L1 hit (Cache.access with LRUPolicy.on_hit).
+                    n_l1_hits += 1
+                    flags = l1_flags[slot]
+                    if flags & FLAG_PREFETCHED and not flags & FLAG_REUSED:
+                        n_l1_useful += 1
+                    l1_flags[slot] = flags | FLAG_REUSED
+                    set_index = slot // l1_ways
+                    clock = l1_clock[set_index] + 1
+                    l1_clock[set_index] = clock
+                    l1_age[slot] = clock
+                    # The tag may be present while the fill of an earlier
+                    # miss is in flight (Cache.outstanding_miss).
+                    ready = l1_mshr_get(block)
+                    if ready is not None:
+                        if ready <= issue_cycle:
+                            del l1_mshr[block]
+                        else:
+                            n_l1_merges += 1
+                            if ready > completion:
+                                completion = ready
+                else:
+                    ready = l1_mshr_get(block)
+                    if ready is not None and ready <= issue_cycle:
+                        del l1_mshr[block]
+                        ready = None
+                    if ready is not None:
+                        # Merge with the outstanding miss to the block.
+                        n_l1_merges += 1
+                        if ready > completion:
+                            completion = ready
+                    else:
+                        n_l2_accesses += 1
+                        slot = l2_where_get(block, -1)
+                        if slot >= 0:
+                            # L2 hit (Cache.access with LRUPolicy.on_hit).
+                            n_l2_hits += 1
+                            flags = l2_flags[slot]
+                            if flags & FLAG_PREFETCHED and not flags & FLAG_REUSED:
+                                n_l2_useful += 1
+                            l2_flags[slot] = flags | FLAG_REUSED
+                            set_index = slot // l2_ways
+                            clock = l2_clock[set_index] + 1
+                            l2_clock[set_index] = clock
+                            l2_age[slot] = clock
+                            completion = issue_cycle + l2_onchip
+                            onchip_latency = l2_onchip
+                            set_index = (block & l1_set_mask if l1_use_mask
+                                         else block % l1_sets)
+                            if l1_valid_count[set_index] == l1_ways:
+                                # Cache.fill into a full L1 set
+                                # (LRUPolicy.evict_fill_full).
+                                base = set_index * l1_ways
+                                end = base + l1_ways
+                                slot = l1_age.index(min(l1_age[base:end]),
+                                                    base, end)
+                                clock = l1_clock[set_index] + 1
+                                l1_clock[set_index] = clock
+                                l1_age[slot] = clock
+                                victim = l1_tags[slot]
+                                victim_dirty = l1_flags[slot] & FLAG_DIRTY
+                                del l1_where[victim]
+                                n_l1_evictions += 1
+                                l1_tags[slot] = block
+                                l1_flags[slot] = FLAG_VALID
+                                l1_where[block] = slot
+                                if victim_dirty:
+                                    n_l1_writebacks += 1
+                                    l2_fill(victim << BLOCK_BITS, pc, dirty=True)
+                            else:
+                                l1_fill(address, pc)
+                        else:
+                            outcome = post_l2(block, address, pc, issue_cycle,
+                                              False, hermes_ready)
+                            completion = outcome.completion_cycle
+                            onchip_latency = outcome.onchip_latency
+                            if outcome.went_offchip:
+                                went_offchip = True
+                                hermes_used = outcome.hermes_used
+                                n_hierarchy_offchip += 1
+                                offchip_latency += completion - issue_cycle
+                                offchip_onchip_latency += onchip_latency
+                load_latency += completion - issue_cycle
+            else:
+                outcome = hierarchy_load(address, pc, issue_cycle, hermes_ready)
+                completion = outcome.completion_cycle
+                went_offchip = outcome.went_offchip
+                onchip_latency = outcome.onchip_latency
+                hermes_used = outcome.hermes_used
+
+            if hermes is not None:
+                # Train the predictor with the load's true outcome.
+                if hermes_used:
+                    n_useful += 1
+                if inline_popet:
+                    # POPET.train: confusion matrix, then the weight update
+                    # unless the prediction was correct and saturated.
+                    if predicted:
+                        if went_offchip:
+                            n_true_pos += 1
+                        else:
+                            n_false_pos += 1
+                    elif went_offchip:
+                        n_false_neg += 1
+                    else:
+                        n_true_neg += 1
+                    if predicted != went_offchip or train_low <= total <= train_high:
+                        # Weights start at 0 and move one step at a time,
+                        # so clamping is a bound check.
+                        n_trained += 1
+                        if went_offchip:
+                            if weights0[index0] < WEIGHT_MAX:
+                                weights0[index0] += 1
+                            if weights1[index1] < WEIGHT_MAX:
+                                weights1[index1] += 1
+                            if weights2[index2] < WEIGHT_MAX:
+                                weights2[index2] += 1
+                            if weights3[index3] < WEIGHT_MAX:
+                                weights3[index3] += 1
+                            if weights4[index4] < WEIGHT_MAX:
+                                weights4[index4] += 1
+                        else:
+                            if weights0[index0] > WEIGHT_MIN:
+                                weights0[index0] -= 1
+                            if weights1[index1] > WEIGHT_MIN:
+                                weights1[index1] -= 1
+                            if weights2[index2] > WEIGHT_MIN:
+                                weights2[index2] -= 1
+                            if weights3[index3] > WEIGHT_MIN:
+                                weights3[index3] -= 1
+                            if weights4[index4] > WEIGHT_MIN:
+                                weights4[index4] -= 1
+                    else:
+                        n_saturated += 1
+                else:
+                    predictor_train(record, went_offchip)
+
+            previous_load_completion = completion
+            n_loads += 1
+            tail = head + count
+            if tail >= capacity:
+                tail -= capacity
+            indices[tail] = instruction_index
+            completions[tail] = completion
+            offchips[tail] = went_offchip
+            onchips[tail] = onchip_latency
+            count += 1
+            if count > lq_size:
+                pop_oldest_stall()
+
+        # Flush span state and counters back to the instances.
         self._il_head = head
         self._il_count = count
         self._dispatch_cycle = dispatch_cycle
@@ -400,6 +677,42 @@ class OutOfOrderCore:
         stats.stall_cycles_offchip += stall_offchip
         stats.stall_cycles_offchip_onchip_portion += stall_onchip_portion
         stats.stall_cycles_other += stall_other
+        if inline_memory:
+            hierarchy_stats = hierarchy.stats
+            hierarchy_stats.loads += n_loads
+            hierarchy_stats.total_load_latency += load_latency
+            hierarchy_stats.offchip_loads += n_hierarchy_offchip
+            hierarchy_stats.total_offchip_latency += offchip_latency
+            hierarchy_stats.total_offchip_onchip_latency += offchip_onchip_latency
+            l1_stats = l1d.stats
+            l1_stats.demand_accesses += n_loads
+            l1_stats.demand_hits += n_l1_hits
+            l1_stats.demand_misses += n_loads - n_l1_hits
+            l1_stats.useful_prefetches += n_l1_useful
+            l1_stats.mshr_merges += n_l1_merges
+            l1_stats.evictions += n_l1_evictions
+            l1_stats.writebacks += n_l1_writebacks
+            l2_stats = l2.stats
+            l2_stats.demand_accesses += n_l2_accesses
+            l2_stats.demand_hits += n_l2_hits
+            l2_stats.demand_misses += n_l2_accesses - n_l2_hits
+            l2_stats.useful_prefetches += n_l2_useful
+        if hermes is not None:
+            hermes._loads_since_drain = hermes_loads_since_drain
+            hermes_stats = hermes.stats
+            hermes_stats.loads_seen += n_loads
+            hermes_stats.predicted_offchip += n_issued
+            hermes_stats.hermes_requests_issued += n_issued
+            hermes_stats.hermes_requests_useful += n_useful
+        if inline_popet:
+            history._head = history_head
+            predictor_stats = predictor.stats
+            predictor_stats.true_positives += n_true_pos
+            predictor_stats.false_positives += n_false_pos
+            predictor_stats.true_negatives += n_true_neg
+            predictor_stats.false_negatives += n_false_neg
+            predictor.training_events += n_trained
+            predictor.training_skipped_saturated += n_saturated
 
     def finalize(self) -> CoreStats:
         """Drain outstanding loads and close out the statistics."""

@@ -15,9 +15,17 @@ part Hermes can hide is everything after the L1/TLB access.
 
 Hot-path contract: ``load``/``store`` return a *reused*
 :class:`LoadOutcome` record owned by the hierarchy — its fields are only
-valid until the hierarchy's next load/store.  The core model consumes the
-fields immediately; anything that needs to keep an outcome must copy the
+valid until the hierarchy's next load/store.  Callers consume the fields
+immediately; anything that needs to keep an outcome must copy the
 scalars out (the tests do exactly that).
+
+On the Table 4 hierarchy (this exact class with LRU L1 and L2) the core
+loop, :meth:`repro.cpu.core.OutOfOrderCore._span_loop`, does not call
+``load``: it runs the L1 and L2 hit, MSHR and L1 fill work inline,
+reading the caches' tag stores and LRU state directly, and calls
+:meth:`CacheHierarchy._post_l2` for an L2 miss.  ``load`` is the
+reference that inline copy is tested against, and what every other
+hierarchy runs; stores always go through ``store``.
 """
 
 from __future__ import annotations
@@ -166,8 +174,8 @@ class CacheHierarchy:
         self._l1_latency = self.l1d.latency
         self._l2_onchip = self.l1d.latency + self.l2.latency
         self._full_onchip = self.l1d.latency + self.l2.latency + self.llc.latency
-        # When the L1 uses plain LRU (the Table 4 default), the hit fast
-        # paths below inline the age-stamp update instead of calling
+        # When the L1 uses plain LRU (the Table 4 default), the store hit
+        # fast path inlines the age-stamp update instead of calling
         # on_hit (LRUPolicy state is flat, indexed exactly by slot).
         from repro.memory.replacement import LRUPolicy
         replacement = self.l1d.replacement
@@ -183,105 +191,7 @@ class CacheHierarchy:
         """Perform a demand load, returning its timing and off-chip outcome."""
         stats = self.stats
         stats.loads += 1
-        # Fast path: plain L1 hit with no outstanding miss to the block.
-        # This inlines Cache.access's hit work (same stats/flags/policy
-        # updates) and skips the multi-level _access machinery entirely.
-        l1d = self.l1d
-        block = address >> BLOCK_BITS
-        slot = l1d._where_get(block, -1)
-        if slot >= 0 and block not in l1d._mshr:
-            l1_stats = l1d.stats
-            l1_stats.demand_accesses += 1
-            l1_stats.demand_hits += 1
-            flags = l1d._flags[slot]
-            if flags & FLAG_PREFETCHED and not flags & FLAG_REUSED:
-                l1_stats.useful_prefetches += 1
-            l1d._flags[slot] = flags | FLAG_REUSED
-            lru = self._l1_lru
-            if lru is not None:
-                set_index = slot // l1d.num_ways
-                clock = lru._clock[set_index] + 1
-                lru._clock[set_index] = clock
-                lru._age[slot] = clock
-            else:
-                set_index = (block & l1d._set_mask if l1d._use_mask
-                             else block % l1d.num_sets)
-                l1d.replacement.on_hit(set_index,
-                                       slot - set_index * l1d.num_ways,
-                                       pc, address)
-            l1_latency = self._l1_latency
-            outcome = self._outcome
-            outcome.address = address
-            outcome.pc = pc
-            outcome.issue_cycle = cycle
-            outcome.completion_cycle = cycle + l1_latency
-            outcome.served_by = "L1D"
-            outcome.went_offchip = False
-            outcome.onchip_latency = l1_latency
-            outcome.hermes_used = False
-            stats.total_load_latency += l1_latency
-            return outcome
-        # Slow path: L1 miss or an outstanding miss to the block; the L1
-        # interaction (Cache.access + MSHR merge) is inlined so misses
-        # avoid a redundant lookup round trip.
-        l1_stats = l1d.stats
-        l1_stats.demand_accesses += 1
-        l1_latency = self._l1_latency
-        if slot >= 0:
-            # Tag present while the fill is still in flight: full hit
-            # work, then merge with the outstanding miss.
-            l1_stats.demand_hits += 1
-            flags = l1d._flags[slot]
-            if flags & FLAG_PREFETCHED and not flags & FLAG_REUSED:
-                l1_stats.useful_prefetches += 1
-            l1d._flags[slot] = flags | FLAG_REUSED
-            lru = self._l1_lru
-            if lru is not None:
-                set_index = slot // l1d.num_ways
-                clock = lru._clock[set_index] + 1
-                lru._clock[set_index] = clock
-                lru._age[slot] = clock
-            else:
-                set_index = (block & l1d._set_mask if l1d._use_mask
-                             else block % l1d.num_sets)
-                l1d.replacement.on_hit(set_index,
-                                       slot - set_index * l1d.num_ways,
-                                       pc, address)
-            l1_ready = l1d.outstanding_miss(address, cycle)
-            outcome = self._outcome
-            outcome.address = address
-            outcome.pc = pc
-            outcome.issue_cycle = cycle
-            outcome.went_offchip = False
-            outcome.onchip_latency = l1_latency
-            outcome.hermes_used = False
-            if l1_ready is not None and l1_ready > cycle + l1_latency:
-                outcome.completion_cycle = l1_ready
-                outcome.served_by = "MSHR"
-            else:
-                outcome.completion_cycle = cycle + l1_latency
-                outcome.served_by = "L1D"
-            stats.total_load_latency += outcome.completion_cycle - cycle
-            return outcome
-        l1_stats.demand_misses += 1
-        l1_ready = l1d.outstanding_miss(address, cycle)
-        if l1_ready is not None:
-            # Merge with an outstanding miss to the same block.
-            completion = cycle + l1_latency
-            if l1_ready > completion:
-                completion = l1_ready
-            outcome = self._outcome
-            outcome.address = address
-            outcome.pc = pc
-            outcome.issue_cycle = cycle
-            outcome.completion_cycle = completion
-            outcome.served_by = "MSHR"
-            outcome.went_offchip = False
-            outcome.onchip_latency = l1_latency
-            outcome.hermes_used = False
-            stats.total_load_latency += completion - cycle
-            return outcome
-        outcome = self._post_l1(block, address, pc, cycle, False, hermes_ready)
+        outcome = self._access(address, pc, cycle, False, hermes_ready)
         latency = outcome.completion_cycle - cycle
         stats.total_load_latency += latency
         if outcome.went_offchip:
@@ -397,13 +307,6 @@ class CacheHierarchy:
     def _post_l1(self, block: int, address: int, pc: int, cycle: int,
                  is_write: bool, hermes_ready: Optional[int]) -> LoadOutcome:
         """The L2 -> LLC -> DRAM portion of a demand access (post-L1-miss)."""
-        outcome = self._outcome
-        outcome.address = address
-        outcome.pc = pc
-        outcome.issue_cycle = cycle
-        outcome.went_offchip = False
-        outcome.hermes_used = False
-
         # --- L2 (Cache.access inlined: same stats/flags/policy updates) ---
         l2 = self.l2
         l2_stats = l2.stats
@@ -421,11 +324,35 @@ class CacheHierarchy:
             onchip = self._l2_onchip
             completion = cycle + onchip
             self._fill_l1(address, pc, completion, is_write)
+            outcome = self._outcome
+            outcome.address = address
+            outcome.pc = pc
+            outcome.issue_cycle = cycle
             outcome.completion_cycle = completion
             outcome.served_by = "L2"
+            outcome.went_offchip = False
             outcome.onchip_latency = onchip
+            outcome.hermes_used = False
             return outcome
         l2_stats.demand_misses += 1
+        return self._post_l2(block, address, pc, cycle, is_write, hermes_ready)
+
+    # repro: hot
+    def _post_l2(self, block: int, address: int, pc: int, cycle: int,
+                 is_write: bool, hermes_ready: Optional[int]) -> LoadOutcome:
+        """The LLC -> DRAM portion of a demand access (post-L2-miss).
+
+        The core loop calls this directly for an L2 miss.  It reads the
+        shared LLC's and memory controller's statistics objects afresh on
+        every call, since the multicore driver replaces them while other
+        cores' spans are paused.
+        """
+        outcome = self._outcome
+        outcome.address = address
+        outcome.pc = pc
+        outcome.issue_cycle = cycle
+        outcome.went_offchip = False
+        outcome.hermes_used = False
 
         # --- LLC (Cache.access inlined) ---
         llc = self.llc

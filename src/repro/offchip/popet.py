@@ -16,6 +16,12 @@ Default configuration reproduces Table 2 / Table 3:
 * activation threshold -18, negative/positive training thresholds -35/+40;
 * 5-bit weights; 1024-entry tables (128 for cacheline offset+first access);
 * a 64-entry page buffer supplying the first-access hint.
+
+:meth:`POPET.predict` and :meth:`POPET.train` run the generic pipeline
+for any feature set.  For the default set the core loop
+(:meth:`repro.cpu.core.OutOfOrderCore._span_loop`) runs both inline,
+reading the weight tables, page buffer, PC history and the memoised
+table indices of :meth:`POPET._memo_index` directly.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.memory.address import BLOCK_BITS, PAGE_BITS, PAGE_SIZE
+from repro.memory.address import BLOCK_BITS
 from repro.offchip.base import (
     LoadContext,
     OffChipPredictor,
@@ -34,6 +40,7 @@ from repro.offchip.features import (
     FeatureExtractor,
     FeatureSpec,
     SELECTED_FEATURES,
+    _mix,
     get_feature,
 )
 
@@ -80,12 +87,7 @@ class _PredictionMetadata:
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK48 = 0xFFFFFFFFFFFF
-_MIX_K = 0x9E3779B1
-# Address geometry (single source of truth: repro.memory.address).
-_PAGE_OFFSET_MASK = PAGE_SIZE - 1
 _BYTE_OFFSET_MASK = (1 << BLOCK_BITS) - 1
-_CL_OFFSET_BITS = PAGE_BITS - BLOCK_BITS
 
 
 class POPET(OffChipPredictor):
@@ -105,7 +107,7 @@ class POPET(OffChipPredictor):
             pc_history_depth=self.config.pc_history_depth)
         self.training_events = 0
         self.training_skipped_saturated = 0
-        # Fused per-feature pipeline: (compute, fold shifts, index mask,
+        # Per-feature pipeline: (compute, fold shifts, index mask,
         # weight table).  The folded-XOR hash is inlined in _predict so
         # one load costs one Python call per feature instead of four.
         self._pipeline: List[Tuple[Any, Tuple[int, ...], int, List[int]]] = []
@@ -115,20 +117,23 @@ class POPET(OffChipPredictor):
             self._pipeline.append((spec.compute, shifts, spec.table_size - 1, table))
         self._indices: List[int] = [0] * len(self.features)
         self._metadata = _PredictionMetadata(self._indices)
-        # The paper's default feature set gets a fully fused prediction
-        # path (all five features + hashes inlined, zero Python calls
-        # beyond the page-buffer probe).
-        self._use_fused = list(self.config.feature_names) == SELECTED_FEATURES
+        # The paper's default feature set (with the default 4-deep PC
+        # history) is the one the core loop inlines.
+        self._use_fused = (list(self.config.feature_names) == SELECTED_FEATURES
+                           and self.config.pc_history_depth == 4)
         # Reuse one PredictionRecord per POPET (see OffChipPredictor.predict).
         self._record = PredictionRecord(context=None, predicted_offchip=False)
-        # Memoised hashed indices for the fused path.  Each cache maps a
-        # feature value (a pure function of pc/offset/first-access bit) to
-        # its folded-XOR table index, so steady-state loads replace ~6
-        # big-int operations per feature with one dict probe.
+        # Memoised table indices for the inlined path (see _memo_index).
+        # Each maps a key (a pure function of pc, offsets, first-access
+        # bit or PC history) to its folded-XOR table index, so
+        # steady-state loads replace ~6 big-int operations per feature
+        # with one dict probe.
         self._ix0_cache: Dict[int, int] = {}
         self._ix1_cache: Dict[int, int] = {}
         self._ix2_cache: Dict[int, int] = {}
         self._ix4_cache: Dict[int, int] = {}
+        self._memos = (self._ix0_cache, self._ix1_cache, self._ix2_cache,
+                       None, self._ix4_cache)
 
     # ------------------------------------------------------------------ #
     # Prediction (Fig. 8 pipeline: extract -> index -> sum -> threshold)
@@ -136,55 +141,17 @@ class POPET(OffChipPredictor):
 
     # repro: hot
     def predict(self, context: LoadContext) -> PredictionRecord:
-        """Fully fused predict for the default feature set.
+        """Predict one load through the generic feature pipeline.
 
-        Bit-identical to the generic ``OffChipPredictor.predict`` +
-        ``_predict`` pipeline: the page-buffer probe, PC-history push,
-        feature hashes and perceptron sum are inlined so one prediction
-        costs a single Python call.
+        For the default feature set (``_use_fused``) the core loop,
+        :meth:`repro.cpu.core.OutOfOrderCore._span_loop`, inlines this
+        and :meth:`train` statement for statement; these methods are the
+        reference it is tested against and the path every other caller
+        takes.
         """
-        if not self._use_fused:
-            return OffChipPredictor.predict(self, context)
-        pc = context.pc
-        address = context.address
-        extractor = self.extractor
-
-        # Page buffer (PageBuffer.first_access, inlined).
-        page_buffer = extractor.page_buffer
-        buffer = page_buffer._buffer
-        page = address >> PAGE_BITS
-        line_bit = 1 << ((address & _PAGE_OFFSET_MASK) >> BLOCK_BITS)
-        bitmap = buffer.get(page)
-        if bitmap is None:
-            if len(buffer) >= page_buffer.entries:
-                buffer.popitem(last=False)
-            buffer[page] = line_bit
-            first = True
-        else:
-            buffer.move_to_end(page)
-            if bitmap & line_bit:
-                first = False
-            else:
-                buffer[page] = bitmap | line_bit
-                first = True
-
-        # PC history push (LoadPCHistory.push, inlined).
-        history = extractor.pc_history
-        head = history._head
-        history._pcs[head] = pc
-        head += 1
-        history._head = 0 if head == history.depth else head
-
-        predicted, metadata = self._compute_fused(pc, address, first, history)
-        record = self._record
-        record.context = context
-        record.predicted_offchip = predicted
-        record.metadata = metadata
-        return record
+        return OffChipPredictor.predict(self, context)
 
     def _predict(self, context: LoadContext) -> Tuple[bool, Any]:
-        # Only reached for custom feature subsets: the fused default case
-        # is intercepted by the predict() override above.
         pc = context.pc
         address = context.address
         extractor = self.extractor
@@ -210,99 +177,27 @@ class POPET(OffChipPredictor):
         metadata.first_access = first_access
         return total >= self.config.activation_threshold, metadata
 
-    # repro: hot
-    def _compute_fused(self, pc: int, address: int, first: bool,
-                       history) -> Tuple[bool, Any]:
-        """Hand-inlined feature hashing for the default Table 2 feature set.
+    def _memo_index(self, feature: int, key: int) -> int:
+        """Hash one memo key of the default feature set to its table index.
 
-        Produces bit-identical indices/sums to the generic pipeline:
-        ``_mix``, the folded-XOR hash, and ``shifted_xor`` are inlined
-        with the same arithmetic.  The caller has already updated the
-        page buffer (``first``) and pushed ``pc`` into ``history``.
+        The core loop memoises the 1024-entry tables' indices by key:
+        feature 0 by ``pc << 6 | cacheline offset``, feature 1 by
+        ``pc << 6 | byte offset``, feature 2 by ``pc << 1 | first access``
+        and feature 4 by the PC history's shifted XOR.  On a miss it
+        calls this, which computes the index exactly as :meth:`_predict`
+        does and records it.
         """
-        cl_offset = (address & _PAGE_OFFSET_MASK) >> BLOCK_BITS
-
-        # 1. pc_xor_cl_offset (1024-entry table, 10-bit folded XOR),
-        #    memoised on (pc, cl_offset).
-        key = (pc << _CL_OFFSET_BITS) | cl_offset
-        index0 = self._ix0_cache.get(key, -1)
-        if index0 < 0:
-            value = ((pc & _MASK48) * _MIX_K + cl_offset) & _MASK64
-            folded = (value ^ (value >> 10) ^ (value >> 20) ^ (value >> 30)
-                      ^ (value >> 40) ^ (value >> 50) ^ (value >> 60))
-            index0 = folded & 1023
-            if len(self._ix0_cache) > 131072:  # safety bound for huge PC sets
-                self._ix0_cache.clear()
-            self._ix0_cache[key] = index0
-
-        # 2. pc_xor_byte_offset (1024 entries), memoised on (pc, byte offset).
-        key = (pc << _CL_OFFSET_BITS) | (address & _BYTE_OFFSET_MASK)
-        index1 = self._ix1_cache.get(key, -1)
-        if index1 < 0:
-            value = ((pc & _MASK48) * _MIX_K
-                     + (address & _BYTE_OFFSET_MASK)) & _MASK64
-            folded = (value ^ (value >> 10) ^ (value >> 20) ^ (value >> 30)
-                      ^ (value >> 40) ^ (value >> 50) ^ (value >> 60))
-            index1 = folded & 1023
-            if len(self._ix1_cache) > 131072:
-                self._ix1_cache.clear()
-            self._ix1_cache[key] = index1
-
-        # 3. pc_first_access (1024 entries), memoised on (pc, first).
-        key = (pc << 1) | first
-        index2 = self._ix2_cache.get(key, -1)
-        if index2 < 0:
-            value = key & _MASK64
-            folded = (value ^ (value >> 10) ^ (value >> 20) ^ (value >> 30)
-                      ^ (value >> 40) ^ (value >> 50) ^ (value >> 60))
-            index2 = folded & 1023
-            if len(self._ix2_cache) > 131072:
-                self._ix2_cache.clear()
-            self._ix2_cache[key] = index2
-
-        # 4. cl_offset_first_access (128 entries, 7-bit folded XOR; the
-        #    value fits in 7 bits so the fold is the identity).
-        index3 = ((cl_offset << 1) | first) & 127
-
-        # 5. last_4_load_pcs: shifted XOR of the history in logical order
-        #    (unrolled for the default depth of 4), memoised on the value.
-        pcs = history._pcs
-        head = history._head
-        if history.depth == 4:
-            value = (pcs[head] ^ (pcs[head - 3] << 1) ^ (pcs[head - 2] << 2)
-                     ^ (pcs[head - 1] << 3)) & _MASK64
+        if feature <= 1:
+            value = _mix(key >> BLOCK_BITS, key & _BYTE_OFFSET_MASK)
         else:
-            depth = history.depth
-            value = 0
-            for i in range(depth):
-                slot = head + i
-                if slot >= depth:
-                    slot -= depth
-                value ^= pcs[slot] << i
-            value &= _MASK64
-        index4 = self._ix4_cache.get(value, -1)
-        if index4 < 0:
-            folded = (value ^ (value >> 10) ^ (value >> 20) ^ (value >> 30)
-                      ^ (value >> 40) ^ (value >> 50) ^ (value >> 60))
-            index4 = folded & 1023
-            if len(self._ix4_cache) > 131072:
-                self._ix4_cache.clear()
-            self._ix4_cache[value] = index4
-
-        weights = self.weights
-        total = (weights[0][index0] + weights[1][index1] + weights[2][index2]
-                 + weights[3][index3] + weights[4][index4])
-
-        indices = self._indices
-        indices[0] = index0
-        indices[1] = index1
-        indices[2] = index2
-        indices[3] = index3
-        indices[4] = index4
-        metadata = self._metadata
-        metadata.perceptron_sum = total
-        metadata.first_access = first
-        return total >= self.config.activation_threshold, metadata
+            value = key & _MASK64
+        index = (value ^ (value >> 10) ^ (value >> 20) ^ (value >> 30)
+                 ^ (value >> 40) ^ (value >> 50) ^ (value >> 60)) & 1023
+        memo = self._memos[feature]
+        if len(memo) > 131072:  # safety bound for huge PC sets
+            memo.clear()
+        memo[key] = index
+        return index
 
     # ------------------------------------------------------------------ #
     # Training (Section 6.1.2)
