@@ -16,11 +16,12 @@ previous load's data returns, which limits memory-level parallelism for
 pointer-chasing workloads the way real dependence chains do.
 
 There is one core loop, :meth:`OutOfOrderCore._span_loop`, written as
-a generator.  The single-core drivers run a span to its end
-(:meth:`~OutOfOrderCore.run_span`); the multi-core driver opens a span
-per core (:meth:`~OutOfOrderCore.open_span`) and resumes each one
+a generator.  The simulation driver opens a span per core
+(:meth:`~OutOfOrderCore.open_span`) and resumes each one
 (:meth:`~OutOfOrderCore.step`) until its clock passes the next core's,
-interleaving several cores over a shared LLC and memory controller.
+interleaving several cores over a shared LLC and memory controller; a
+single core runs each span to its end in one resume.
+:meth:`~OutOfOrderCore.run_span` does that in one call.
 On the paper's Table 4 system the loop also runs POPET and the common
 L1/L2 load paths inline instead of calling them.
 
@@ -193,7 +194,7 @@ class OutOfOrderCore:
         self._running = True
 
     def run_span(self, accesses, start: int, stop: int) -> None:
-        """Execute ``accesses[start:stop]`` to the end (single-core driving)."""
+        """Execute ``accesses[start:stop]`` to the end, with no bound."""
         if not self._running:
             raise RuntimeError("call begin() before run_span()")
         span = self._span_loop(accesses, start, stop, 0)

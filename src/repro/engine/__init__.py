@@ -1,8 +1,8 @@
 """The simulation engine: one core loop, and the name that selects it.
 
-Every driver runs :meth:`repro.cpu.core.OutOfOrderCore.run_span` (the
-single-core drivers) or resumes the same loop a bounded stretch at a
-time (:func:`repro.sim.multicore.simulate_multicore`).
+The simulation driver (:func:`repro.sim.simulator.simulate_cores`)
+resumes the loop of :class:`repro.cpu.core.OutOfOrderCore` a bounded
+stretch at a time, or a whole span at once when it runs one core.
 :attr:`repro.sim.config.SystemConfig.engine` names that loop; ``scalar``
 is its only legal value, and the field stays out of result-cache keys,
 so configuration files and cached results written when it had other

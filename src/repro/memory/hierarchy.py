@@ -344,8 +344,8 @@ class CacheHierarchy:
 
         The core loop calls this directly for an L2 miss.  It reads the
         shared LLC's and memory controller's statistics objects afresh on
-        every call, since the multicore driver replaces them while other
-        cores' spans are paused.
+        every call, since the driver replaces them while other cores'
+        spans are paused.
         """
         outcome = self._outcome
         outcome.address = address

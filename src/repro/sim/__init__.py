@@ -2,13 +2,13 @@
 
 Ties the substrates together: build a system from a
 :class:`~repro.sim.config.SystemConfig`, run a workload trace through it,
-and collect a :class:`~repro.sim.results.SimulationResult`.  Three
-drivers are provided: single-core over an in-memory trace
+and collect a :class:`~repro.sim.results.SimulationResult`.  One driver
+runs N cores over a shared LLC + memory controller; three entry points
+feed it: single-core over an in-memory trace
 (:func:`~repro.sim.simulator.simulate_trace`), single-core over a
 :class:`~repro.workloads.trace.StreamingTrace` in bounded memory
 (:func:`~repro.sim.simulator.simulate_stream`, bit-identical stats),
-and multi-core with a shared LLC + memory controller
-(:func:`~repro.sim.multicore.simulate_multicore`).
+and one trace per core (:func:`~repro.sim.multicore.simulate_multicore`).
 """
 
 from repro.sim.config import SystemConfig

@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 import repro.offchip.popet as popet_module
-import repro.sim.multicore as multicore_module
 import repro.sim.simulator as simulator_module
 from repro.memory.hierarchy import CacheHierarchy
 from repro.offchip.factory import make_predictor
@@ -79,17 +78,17 @@ def recording(cls, built):
 
 
 def both_ways(monkeypatch, run):
-    """``run()`` as built, then with both drivers building the call-path
-    subclasses (``POPET`` is looked up in its module at build time).
-    Each run's result comes with its hierarchies' L1 and L2 state."""
+    """``run()`` as built, then with ``build_system`` building the
+    call-path subclasses (``POPET`` is looked up in its module at build
+    time).  Each run's result comes with its hierarchies' L1 and L2
+    state."""
     runs = []
     for hierarchy_class, popet_class in ((CacheHierarchy, POPET),
                                          (CallPathHierarchy, CallPathPOPET)):
         built = []
         with monkeypatch.context() as patch:
-            build = recording(hierarchy_class, built)
-            patch.setattr(simulator_module, "CacheHierarchy", build)
-            patch.setattr(multicore_module, "CacheHierarchy", build)
+            patch.setattr(simulator_module, "CacheHierarchy",
+                          recording(hierarchy_class, built))
             patch.setattr(popet_module, "POPET", popet_class)
             result = run()
         assert {type(hierarchy) for hierarchy in built} == {hierarchy_class}

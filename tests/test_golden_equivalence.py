@@ -8,8 +8,10 @@ multi-core — and require every statistic to match exactly.  Any drift
 means the perf work changed simulation semantics.
 
 The single-core matrix runs once per legal ``SystemConfig.engine``
-value (only ``scalar`` today).  The multicore mixes pin the order in
-which the driver interleaves cores over the shared LLC and DRAM.
+value (only ``scalar`` today), and each of its results must also obey
+the accounting identities between the layers' counters.  The multicore
+mixes pin the order in which the driver interleaves cores over the
+shared LLC and DRAM.
 
 If a later PR *intentionally* changes results, regenerate the fixture and
 say so in the PR description.
@@ -76,6 +78,28 @@ def _assert_identical(actual, expected, where):
             assert got == stats, f"{where}/{group}: {got} != {stats}"
 
 
+def _assert_accounting_identities(result, where):
+    """Identities between the layers' counters.  They must hold on every
+    result, also after an intended fixture regeneration, so they guard
+    the warmup reset where bit-identity no longer can."""
+    hierarchy, controller, llc = (result.hierarchy, result.memory_controller,
+                                  result.llc)
+    assert llc["demand_accesses"] == result.prefetcher["accesses_observed"], where
+    assert llc["demand_misses"] == hierarchy["llc_misses"], where
+    assert controller["hermes_consumed"] == hierarchy["hermes_waits"], where
+    if not result.hermes:
+        return
+    hermes = result.hermes
+    tp, fp, tn, fn = (result.predictor[key] for key in
+                      ("true_positives", "false_positives",
+                       "true_negatives", "false_negatives"))
+    assert tp == hermes["hermes_requests_useful"] == controller["hermes_consumed"], where
+    assert tp + fn == hierarchy["offchip_loads"], where
+    assert (hermes["predicted_offchip"] == hermes["hermes_requests_issued"]
+            == controller["hermes_requests"]), where
+    assert tp + fp + tn + fn == hermes["loads_seen"] == hierarchy["loads"], where
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("prefetcher,predictor", MATRIX)
 def test_single_core_matches_golden(fixture_runs, prefetcher, predictor, engine):
@@ -87,6 +111,7 @@ def test_single_core_matches_golden(fixture_runs, prefetcher, predictor, engine)
         key = f"single/{config.label}/{workload}"
         assert key in fixture_runs, f"fixture missing {key}"
         _assert_identical(fingerprint_single(result), fixture_runs[key], key)
+        _assert_accounting_identities(result, key)
 
 
 @pytest.mark.parametrize("prefetcher,predictor", MATRIX)

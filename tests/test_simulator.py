@@ -1,12 +1,25 @@
 """Unit tests for the configuration dataclasses and the simulation drivers."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.hermes import HermesConfig
 from repro.offchip.popet import POPET
+from repro.perf.golden import (
+    GOLDEN_MIX_ACCESSES,
+    GOLDEN_MIX_CONFIGS,
+    GOLDEN_MIXES,
+    golden_config,
+)
 from repro.sim.config import SystemConfig
 from repro.sim.multicore import simulate_multicore
-from repro.sim.simulator import build_system, simulate_suite, simulate_trace
+from repro.sim.simulator import (
+    build_system,
+    simulate_cores,
+    simulate_suite,
+    simulate_trace,
+)
 from repro.workloads.suite import make_trace
 
 
@@ -119,7 +132,7 @@ def test_simulate_suite_runs_every_trace(small_irregular_trace, small_streaming_
 
 
 # ---------------------------------------------------------------------- #
-# One core through the multicore driver
+# One core through the multicore entry point, and chunked spans
 # ---------------------------------------------------------------------- #
 
 ONE_CORE_CONFIGS = [
@@ -147,3 +160,45 @@ def test_one_core_multicore_run_matches_single_core(request, config,
     assert multi.memory_controller == single.memory_controller
     assert ({key: multi.predictor.get(key) for key in CONFUSION}
             == {key: single.predictor.get(key) for key in CONFUSION})
+
+
+MIX4 = next(workloads for name, workloads, _ in GOLDEN_MIXES if name == "mix4")
+
+
+def chunked(accesses, size):
+    """``accesses`` as the driver's ``(accesses, stop)`` chunks of ``size``."""
+    chunks = [accesses[start:start + size]
+              for start in range(0, len(accesses), size)]
+    return [(chunk, len(chunk)) for chunk in chunks]
+
+
+@pytest.mark.parametrize("warmup_fraction", [None, 0.0],
+                         ids=["default-warmup", "no-warmup"])
+@pytest.mark.parametrize("prefetcher,predictor", GOLDEN_MIX_CONFIGS)
+def test_multicore_chunk_splits_are_identical(prefetcher, predictor,
+                                              warmup_fraction):
+    # Every chunk end closes a core's span: the driver re-opens it and
+    # re-pushes the core's heap key, which must not change the
+    # interleaving over the shared LLC and DRAM.  At 500 accesses the
+    # default warmup boundary (a quarter of 2,000) is a chunk end.
+    config = golden_config(prefetcher, predictor)
+    if warmup_fraction is not None:
+        config = dataclasses.replace(config, warmup_fraction=warmup_fraction)
+    traces = [make_trace(name, GOLDEN_MIX_ACCESSES) for name in MIX4]
+    expected = simulate_multicore(config, traces)
+    config = dataclasses.replace(config, dram=SystemConfig.eight_core_dram())
+    warmups = [int(len(trace) * config.warmup_fraction) for trace in traces]
+    for size in (1, 7, 277, 500):
+        systems = simulate_cores(
+            config, [chunked(trace.accesses, size) for trace in traces],
+            warmups)
+        assert ([system.core.stats.as_dict() for system in systems]
+                == [stats.as_dict() for stats in expected.per_core]), size
+        assert (systems[0].memory_controller.stats.as_dict()
+                == expected.memory_controller), size
+        assert ({key: sum(getattr(system.predictor.stats, key)
+                          for system in systems
+                          if system.predictor is not None)
+                 for key in CONFUSION}
+                == {key: expected.predictor.get(key, 0)
+                    for key in CONFUSION}), size
