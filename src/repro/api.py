@@ -76,7 +76,6 @@ from repro.report import (
     get_figure,
 )
 from repro.service import (
-    LoadDriver,
     ServiceClient,
     ServiceDaemon,
     ServiceError,
@@ -119,8 +118,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION", "FigureResult", "figure_ids", "get_figure",
     "report",
     # simulation as a service
-    "SimService", "ServiceDaemon", "ServiceClient", "ServiceError",
-    "LoadDriver", "serve",
+    "SimService", "ServiceDaemon", "ServiceClient", "ServiceError", "serve",
 ]
 
 

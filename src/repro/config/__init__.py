@@ -10,8 +10,8 @@ This package makes every configuration dataclass first-class *data*:
   callers, experiment-spec axes and the CLI's ``--set`` flag.
 * :mod:`repro.config.io` — TOML/JSON config files
   (``load_config``/``save_config``) with schema-version stamping.
-* :mod:`repro.config.toml_compat` — dependency-free TOML reading
-  (stdlib :mod:`tomllib` when available) and writing.
+* :mod:`repro.config.toml_compat` — TOML reading through the stdlib
+  :mod:`tomllib` and a dependency-free writer.
 
 See DESIGN.md (config schema & experiment specs) for the format
 reference, and :mod:`repro.api` for the facade that re-exports the

@@ -136,7 +136,7 @@ def config_from_document(document: Dict[str, Any], where: str,
         raise ConfigError(
             f"{where}: missing schema_version (current is "
             f"{CONFIG_SCHEMA_VERSION})")
-    if not isinstance(version, int) or version > CONFIG_SCHEMA_VERSION or version < 1:
+    if type(version) is not int or not 1 <= version <= CONFIG_SCHEMA_VERSION:
         raise ConfigError(
             f"{where}: unsupported schema_version {version!r} "
             f"(this build reads versions 1..{CONFIG_SCHEMA_VERSION})")

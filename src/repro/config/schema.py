@@ -25,6 +25,7 @@ stale files then fail loudly and stale cache entries stop matching.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar, Union, get_args, get_origin, get_type_hints
 
 #: Version of the serialized configuration layout (see module docstring).
@@ -108,9 +109,9 @@ def coerce_value(value: Any, annotation: Any, path: str) -> Any:
 
     Strictness rules: ``bool`` is *not* accepted for int/float fields
     (it is a subclass of ``int`` but a config saying ``rob_size = true``
-    is a mistake); ``int`` widens to ``float``; ``Optional[T]`` accepts
-    ``None``; nested :class:`SerializableConfig` types recurse through
-    ``from_dict``.
+    is a mistake); ``int`` widens to ``float``, and floats must be
+    finite (no inf or NaN); ``Optional[T]`` accepts ``None``; nested
+    :class:`SerializableConfig` types recurse through ``from_dict``.
     """
     origin = get_origin(annotation)
     if origin is Union:
@@ -155,7 +156,14 @@ def coerce_value(value: Any, annotation: Any, path: str) -> Any:
             f"{path}: expected an int, got {type(value).__name__} {value!r}")
     if annotation is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                number = float(value)
+            except OverflowError:  # an int beyond the float range
+                number = math.inf
+            if math.isfinite(number):
+                return number
+            raise ConfigError(
+                f"{path}: expected a finite number, got {value!r}")
         raise ConfigError(
             f"{path}: expected a number, got {type(value).__name__} {value!r}")
     if annotation is str:

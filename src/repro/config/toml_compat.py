@@ -1,291 +1,55 @@
-"""TOML reading/writing without third-party dependencies.
+"""TOML reading and writing without third-party dependencies.
 
-Reading uses the standard-library :mod:`tomllib` (Python 3.11+) when
-present and falls back to :func:`loads_toml_subset`, a small parser for
-the well-defined subset this package itself emits and documents for
-config/spec files: tables ``[a.b]``, arrays of tables ``[[a.b]]``,
-bare/quoted (possibly dotted) keys, basic strings, integers, floats,
-booleans, single- or multi-line arrays, inline tables, and ``#``
-comments.  Dates, multi-line strings and literal strings are not
-supported by the fallback — stick to the documented subset if the
-files must load on Python < 3.11.
-
-Writing (:func:`dumps_toml`) emits that same subset, so a dumped config
-always round-trips through either reader.
+Reading is the standard-library :mod:`tomllib`; :func:`loads_toml`
+only maps its decode error to :class:`TOMLError`.  The standard
+library has no writer, so :func:`dumps_toml` emits a small, diffable
+subset of TOML: tables ``[a.b]``, bare or quoted keys, basic strings,
+integers, finite floats, booleans, arrays and inline tables.  Every
+document it writes loads back equal under :func:`loads_toml`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
-
-try:  # Python 3.11+
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - exercised on older interpreters
-    _tomllib = None  # type: ignore[assignment]
+import math
+import tomllib
+from typing import Any, Dict, List
 
 
 class TOMLError(ValueError):
-    """A document could not be parsed as (subset) TOML."""
+    """A document could not be parsed as TOML, or written to it."""
 
 
 def loads_toml(text: str) -> Dict[str, Any]:
-    """Parse a TOML document (stdlib parser when available)."""
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise TOMLError(str(exc)) from None
-    return loads_toml_subset(text)
-
-
-# --------------------------------------------------------------------- #
-# Fallback parser
-# --------------------------------------------------------------------- #
-
-_BARE_KEY_CHARS = set("abcdefghijklmnopqrstuvwxyz"
-                      "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_")
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r",
-            "b": "\b", "f": "\f"}
-
-
-class _Parser:
-    """Single-pass cursor over the document text."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    # -- low-level cursor ------------------------------------------------
-    def error(self, message: str) -> TOMLError:
-        line = self.text.count("\n", 0, self.pos) + 1
-        return TOMLError(f"line {line}: {message}")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self, newlines: bool = False) -> None:
-        """Skip spaces/tabs (and comments + newlines when asked)."""
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t":
-                self.pos += 1
-            elif ch == "#":
-                end = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if end < 0 else end
-            elif newlines and ch in "\r\n":
-                self.pos += 1
-            else:
-                return
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}, found {self.peek()!r}")
-        self.pos += 1
-
-    def at_line_end(self) -> bool:
-        self.skip_ws()
-        return self.peek() in ("", "\n", "\r")
-
-    # -- keys ------------------------------------------------------------
-    def parse_key(self) -> List[str]:
-        """A possibly dotted key: ``a.b."c.d"`` -> ["a", "b", "c.d"]."""
-        parts = [self._key_part()]
-        while True:
-            self.skip_ws()
-            if self.peek() != ".":
-                return parts
-            self.pos += 1
-            self.skip_ws()
-            parts.append(self._key_part())
-
-    def _key_part(self) -> str:
-        self.skip_ws()
-        ch = self.peek()
-        if ch in ('"', "'"):
-            return self._string(ch)
-        start = self.pos
-        while self.peek() in _BARE_KEY_CHARS:
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected a key, found {ch!r}")
-        return self.text[start:self.pos]
-
-    # -- values ----------------------------------------------------------
-    def parse_value(self) -> Any:
-        self.skip_ws()
-        ch = self.peek()
-        if ch in ('"', "'"):
-            return self._string(ch)
-        if ch == "[":
-            return self._array()
-        if ch == "{":
-            return self._inline_table()
-        start = self.pos
-        while self.peek() not in ("", ",", "]", "}", "\n", "\r", "#", " ", "\t"):
-            self.pos += 1
-        token = self.text[start:self.pos]
-        if not token:
-            raise self.error("expected a value")
-        if token == "true":
-            return True
-        if token == "false":
-            return False
-        cleaned = token.replace("_", "")
-        try:
-            if not any(c in cleaned for c in ".eE") or cleaned.startswith("0x"):
-                return int(cleaned, 0)
-        except ValueError:
-            pass
-        try:
-            return float(cleaned)
-        except ValueError:
-            raise self.error(f"unsupported value {token!r} "
-                             f"(fallback parser handles strings, numbers, "
-                             f"booleans, arrays and inline tables)") from None
-
-    def _string(self, quote: str) -> str:
-        self.expect(quote)
-        out: List[str] = []
-        while True:
-            ch = self.peek()
-            if ch in ("", "\n"):
-                raise self.error("unterminated string")
-            self.pos += 1
-            if ch == quote:
-                return "".join(out)
-            if ch == "\\" and quote == '"':
-                esc = self.peek()
-                if esc not in _ESCAPES:
-                    raise self.error(f"unsupported escape \\{esc}")
-                self.pos += 1
-                out.append(_ESCAPES[esc])
-            else:
-                out.append(ch)
-
-    def _array(self) -> List[Any]:
-        self.expect("[")
-        items: List[Any] = []
-        while True:
-            self.skip_ws(newlines=True)
-            if self.peek() == "]":
-                self.pos += 1
-                return items
-            items.append(self.parse_value())
-            self.skip_ws(newlines=True)
-            if self.peek() == ",":
-                self.pos += 1
-            elif self.peek() != "]":
-                raise self.error("expected ',' or ']' in array")
-
-    def _inline_table(self) -> Dict[str, Any]:
-        self.expect("{")
-        table: Dict[str, Any] = {}
-        self.skip_ws()
-        if self.peek() == "}":
-            self.pos += 1
-            return table
-        while True:
-            key = self.parse_key()
-            self.skip_ws()
-            self.expect("=")
-            _assign(table, key, self.parse_value(), self)
-            self.skip_ws()
-            if self.peek() == ",":
-                self.pos += 1
-                self.skip_ws()
-            elif self.peek() == "}":
-                self.pos += 1
-                return table
-            else:
-                raise self.error("expected ',' or '}' in inline table")
-
-
-def _assign(table: Dict[str, Any], key: List[str], value: Any,
-            parser: _Parser) -> None:
-    node = table
-    for part in key[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise parser.error(f"key {'.'.join(key)!r} traverses a non-table")
-    if key[-1] in node:
-        raise parser.error(f"duplicate key {'.'.join(key)!r}")
-    node[key[-1]] = value
-
-
-def loads_toml_subset(text: str) -> Dict[str, Any]:
-    """Parse the documented TOML subset (see module docstring)."""
-    parser = _Parser(text)
-    root: Dict[str, Any] = {}
-    current = root
-    while True:
-        parser.skip_ws(newlines=True)
-        if parser.pos >= len(parser.text):
-            return root
-        ch = parser.peek()
-        if ch == "[":
-            parser.pos += 1
-            is_array = parser.peek() == "["
-            if is_array:
-                parser.pos += 1
-            key = parser.parse_key()
-            parser.skip_ws()
-            parser.expect("]")
-            if is_array:
-                parser.expect("]")
-            current = _navigate(root, key, is_array, parser)
-        else:
-            key = parser.parse_key()
-            parser.skip_ws()
-            parser.expect("=")
-            _assign(current, key, parser.parse_value(), parser)
-        if not parser.at_line_end():
-            raise parser.error(f"unexpected trailing text {parser.peek()!r}")
-
-
-def _navigate(root: Dict[str, Any], key: List[str], is_array: bool,
-              parser: _Parser) -> Dict[str, Any]:
-    """Resolve a ``[a.b]`` / ``[[a.b]]`` header to its target table.
-
-    Intermediate segments enter the *last* element of arrays-of-tables,
-    matching TOML's semantics for nested ``[[...]]`` documents.
-    """
-    node: Any = root
-    for part in key[:-1]:
-        node = node.setdefault(part, {})
-        if isinstance(node, list):
-            node = node[-1]
-        if not isinstance(node, dict):
-            raise parser.error(f"table {'.'.join(key)!r} traverses a scalar")
-    leaf = key[-1]
-    if is_array:
-        array = node.setdefault(leaf, [])
-        if not isinstance(array, list):
-            raise parser.error(f"[[{'.'.join(key)}]] conflicts with an "
-                               f"existing non-array value")
-        element: Dict[str, Any] = {}
-        array.append(element)
-        return element
-    target = node.setdefault(leaf, {})
-    if isinstance(target, list):
-        target = target[-1]
-    if not isinstance(target, dict):
-        raise parser.error(f"[{'.'.join(key)}] conflicts with an existing "
-                           f"scalar value")
-    return target
+    """Parse a TOML document; a malformed one raises :class:`TOMLError`."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise TOMLError(str(exc)) from None
 
 
 # --------------------------------------------------------------------- #
 # Writer
 # --------------------------------------------------------------------- #
 
+_BARE_KEY_CHARS = set("abcdefghijklmnopqrstuvwxyz"
+                      "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_")
+
+#: Basic-string escapes: backslash, quote, and every control character
+#: TOML forbids raw (U+0000-U+001F and U+007F) as ``\n``, ``\t`` or
+#: ``\uXXXX``.
+_STRING_ESCAPES = {code: f"\\u{code:04X}" for code in [*range(0x20), 0x7F]}
+_STRING_ESCAPES.update({ord("\\"): "\\\\", ord('"'): '\\"',
+                        ord("\n"): "\\n", ord("\t"): "\\t"})
+
+
 def dumps_toml(data: Dict[str, Any]) -> str:
-    """Serialize a nested dict of primitives to the documented subset.
+    """Serialize a nested dict of primitives to TOML text.
 
     Scalar/array keys come first, then one ``[dotted.table]`` section
     per nested dict (depth-first, insertion order), so the output stays
-    diffable and loads identically under :mod:`tomllib` and the
-    fallback parser.  Dicts nested inside arrays are emitted as inline
-    tables.
+    diffable.  Dicts nested inside arrays are emitted as inline tables.
+    ``None`` and non-finite floats have no TOML form and raise
+    :class:`TOMLError`.
     """
     lines: List[str] = []
     _emit_table(data, prefix="", lines=lines)
@@ -308,8 +72,11 @@ def _emit_table(table: Dict[str, Any], prefix: str, lines: List[str]) -> None:
 def _format_key(key: str) -> str:
     if key and set(key) <= _BARE_KEY_CHARS:
         return key
-    escaped = key.replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{escaped}"'
+    return _quote(key)
+
+
+def _quote(text: str) -> str:
+    return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
 def _format_value(value: Any) -> str:
@@ -318,12 +85,12 @@ def _format_value(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        text = repr(value)
-        return text if any(c in text for c in ".eE") else text + ".0"
+        if not math.isfinite(value):
+            raise TOMLError(f"cannot serialize non-finite float {value!r}; "
+                            f"config values must be finite")
+        return repr(value)  # finite reprs always carry "." or "e"
     if isinstance(value, str):
-        escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\t", "\\t"))
-        return f'"{escaped}"'
+        return _quote(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(item) for item in value) + "]"
     if isinstance(value, dict):

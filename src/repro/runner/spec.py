@@ -109,7 +109,7 @@ class ExperimentSpec:
         if version is None:
             raise ConfigError(
                 f"{where}: missing spec_version (current is {SPEC_VERSION})")
-        if version != SPEC_VERSION:
+        if type(version) is not int or version != SPEC_VERSION:
             raise ConfigError(
                 f"{where}: unsupported spec_version {version!r} "
                 f"(this build reads {SPEC_VERSION})")

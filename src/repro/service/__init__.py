@@ -1,4 +1,4 @@
-"""Simulation as a service: daemon, client and load driver.
+"""Simulation as a service: daemon and client.
 
 The package that turns the single-process sweep engine into a
 long-running server (ROADMAP: "Simulation-as-a-service daemon"):
@@ -12,26 +12,12 @@ long-running server (ROADMAP: "Simulation-as-a-service daemon"):
   (the stdlib ``ThreadingHTTPServer`` speaking JSON over HTTP).
 * :mod:`repro.service.client` — :class:`ServiceClient`, the thin
   ``urllib`` client behind ``repro submit``: submit / poll / stream.
-* :mod:`repro.service.driver` — the hopperkv-style load driver
-  (:class:`Req` / :class:`ReqGenEngine` / :class:`DriverWorkload`):
-  synthetic and trace-replay request engines, closed- and open-loop
-  client pools, latency percentiles — the service-level benchmark.
 
 Everything is stdlib-only; see DESIGN.md section 13 for the dedup and
 failure model.
 """
 
 from repro.service.client import ServiceClient, ServiceError, Submission
-from repro.service.driver import (
-    DriverStats,
-    DriverWorkload,
-    LoadDriver,
-    Req,
-    ReqGenEngine,
-    SyntheticReqGenEngine,
-    TraceReplayReqGenEngine,
-    percentile,
-)
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -52,12 +38,4 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "Submission",
-    "Req",
-    "ReqGenEngine",
-    "SyntheticReqGenEngine",
-    "TraceReplayReqGenEngine",
-    "DriverWorkload",
-    "LoadDriver",
-    "DriverStats",
-    "percentile",
 ]

@@ -192,6 +192,13 @@ def test_bad_override_fails_cleanly():
     assert b"rob_size" in proc.stderr
 
 
+def test_non_finite_override_fails_cleanly():
+    proc = run_cli("run", "--workload", "ligra.bfs", "--accesses", "500",
+                   "--set", "dram.trcd_ns=inf", expect_rc=2)
+    assert b"dram.trcd_ns" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_sweep_spec_runs_and_caches(tmp_path):
     spec = tmp_path / "spec.toml"
     spec.write_text("""

@@ -2,19 +2,21 @@
 
 Covers the round-trip contract (``from_dict(to_dict(cfg)) == cfg``) for
 every config dataclass, strict unknown-key/bad-type rejection, the
-dotted-path override layer, TOML/JSON file I/O (including the fallback
-TOML parser), spec -> job-matrix expansion, cache-key stability across a
-serialize/deserialize cycle, and the acceptance criterion that a
-TOML-spec sweep is bit-identical to the equivalent in-Python
-``run_matrix`` call.
+dotted-path override layer, TOML/JSON file I/O (including a TOML
+writer round-trip property), spec -> job-matrix expansion, cache-key
+stability across a serialize/deserialize cycle, and the acceptance
+criterion that a TOML-spec sweep is bit-identical to the equivalent
+in-Python ``run_matrix`` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     CONFIG_SCHEMA_VERSION,
@@ -24,12 +26,7 @@ from repro.config import (
     parse_override_value,
 )
 from repro.config.schema import config_field_paths
-from repro.config.toml_compat import (
-    TOMLError,
-    dumps_toml,
-    loads_toml,
-    loads_toml_subset,
-)
+from repro.config.toml_compat import TOMLError, dumps_toml, loads_toml
 from repro.core.hermes import HermesConfig
 from repro.cpu.core import CoreConfig
 from repro.dram.config import DRAMConfig
@@ -119,6 +116,16 @@ def test_int_widens_to_float():
     config = SystemConfig.from_dict({"warmup_fraction": 0})
     assert config.warmup_fraction == 0.0
     assert isinstance(config.warmup_fraction, float)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "int-beyond-float"])
+def test_non_finite_floats_rejected(bad):
+    with pytest.raises(ConfigError, match="dram.trcd_ns"):
+        apply_overrides(SystemConfig(), {"dram.trcd_ns": bad})
+    document = json.loads(json.dumps({"dram": {"trcd_ns": bad}}))
+    with pytest.raises(ConfigError, match="dram.trcd_ns"):
+        SystemConfig.from_dict(document)
 
 
 def test_missing_required_key_rejected():
@@ -240,6 +247,13 @@ def test_config_file_newer_version_rejected(tmp_path):
         SystemConfig.from_file(path)
 
 
+def test_config_file_boolean_version_rejected(tmp_path):
+    path = tmp_path / "system.toml"
+    path.write_text("schema_version = true\n[system]\n")
+    with pytest.raises(ConfigError, match="unsupported schema_version"):
+        SystemConfig.from_file(path)
+
+
 def test_config_file_unknown_toplevel_key_rejected(tmp_path):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"schema_version": CONFIG_SCHEMA_VERSION,
@@ -258,42 +272,26 @@ def test_unknown_extension_needs_explicit_format(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# TOML compatibility layer
+# TOML reader and writer
 # --------------------------------------------------------------------- #
 
-def test_fallback_parser_matches_reference_on_emitted_subset():
-    tomllib = pytest.importorskip("tomllib")
-    text = dumps_toml({"schema_version": 1,
-                       "system": SystemConfig.with_hermes("popet").to_dict()})
-    assert loads_toml_subset(text) == tomllib.loads(text)
+_TOML_SCALARS = (st.booleans() | st.integers(-2**63, 2**63 - 1)
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text())
+_TOML_VALUES = (_TOML_SCALARS | st.lists(_TOML_SCALARS, max_size=3)
+                | st.lists(st.dictionaries(st.text(), _TOML_SCALARS,
+                                           max_size=3), max_size=3))
+_TOML_DOCUMENTS = st.recursive(
+    st.dictionaries(st.text(), _TOML_VALUES, max_size=4),
+    lambda tables: st.dictionaries(st.text(), _TOML_VALUES | tables,
+                                   max_size=4),
+    max_leaves=12)
 
 
-def test_fallback_parser_handles_spec_shapes():
-    document = """
-# comment
-spec_version = 1
-name = "demo"
-workloads = [
-  "a", "b",
-]
-[base]
-"core.rob_size" = 256
-inline = { x = 1, y = [1.5, true], z = "s" }
-[[axes]]
-name = "ax"
-[[axes.points]]
-label = "p0"
-[axes.points.set]
-prefetcher = "none"
-[[axes.points]]
-label = "p1"
-"""
-    data = loads_toml_subset(document)
-    assert data["workloads"] == ["a", "b"]
-    assert data["base"]["core.rob_size"] == 256
-    assert data["base"]["inline"] == {"x": 1, "y": [1.5, True], "z": "s"}
-    assert [p["label"] for p in data["axes"][0]["points"]] == ["p0", "p1"]
-    assert data["axes"][0]["points"][0]["set"] == {"prefetcher": "none"}
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_TOML_DOCUMENTS)
+def test_toml_writer_round_trips_through_reader(doc):
+    assert loads_toml(dumps_toml(doc)) == doc
 
 
 @pytest.mark.parametrize("bad", [
@@ -302,20 +300,25 @@ label = "p1"
     "a = 1\na = 2",             # duplicate key
     "[t]\na = {x = }",
 ])
-def test_fallback_parser_rejects_malformed_documents(bad):
+def test_toml_reader_rejects_malformed_documents(bad):
     with pytest.raises(TOMLError):
-        loads_toml_subset(bad)
+        loads_toml(bad)
 
 
 def test_toml_writer_escapes_and_quotes():
     text = dumps_toml({"t": {"core.rob_size": 1, 'quo"te': 'a"b\nc'}})
-    assert loads_toml_subset(text) == loads_toml(text)
     assert loads_toml(text)["t"]['quo"te'] == 'a"b\nc'
 
 
 def test_toml_writer_rejects_none():
     with pytest.raises(TOMLError, match="null"):
         dumps_toml({"a": None})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_toml_writer_rejects_non_finite_floats(bad):
+    with pytest.raises(TOMLError, match="non-finite"):
+        dumps_toml({"a": [1.0, bad]})
 
 
 # --------------------------------------------------------------------- #
@@ -383,6 +386,7 @@ def test_spec_category_selection_shares_suite_rule():
 @pytest.mark.parametrize("mutate,message", [
     (lambda d: d.pop("spec_version"), "missing spec_version"),
     (lambda d: d.update(spec_version=99), "unsupported spec_version"),
+    (lambda d: d.update(spec_version=True), "unsupported spec_version True"),
     (lambda d: d.pop("name"), "non-empty string 'name'"),
     (lambda d: d.update(bogus=1), "unknown spec key"),
     (lambda d: d.update(accesses=-5), "positive int"),

@@ -34,20 +34,14 @@ from repro.runner import FaultPlan, FaultSpec, ResultCache, RetryPolicy, SimJob
 from repro.runner.execute import run_job_attempt
 from repro.runner.faults import FAULTS_ENV
 from repro.service import (
-    DriverWorkload,
-    LoadDriver,
     ProtocolError,
     ServiceClient,
     ServiceDaemon,
     ServiceError,
     SimService,
-    SyntheticReqGenEngine,
-    TraceReplayReqGenEngine,
     canonical_json,
     parse_submission,
-    percentile,
 )
-from repro.service.driver import main as driver_main, record_trace
 from repro.service.server import TERMINAL_STATES
 from repro.sim.config import SystemConfig
 
@@ -514,96 +508,3 @@ def test_daemon_kill9_restart_serves_checkpoints_and_reruns_rest(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=scaled(60.0))
-
-
-# --------------------------------------------------------------------- #
-# Load driver
-# --------------------------------------------------------------------- #
-
-def test_percentile_interpolates_linearly():
-    values = [10.0, 20.0, 30.0, 40.0]
-    assert percentile(values, 0) == 10.0
-    assert percentile(values, 100) == 40.0
-    assert percentile(values, 50) == 25.0
-    assert percentile([7.0], 99) == 7.0
-    assert percentile([3.0, 1.0], 50) == 2.0    # unsorted input
-    with pytest.raises(ValueError):
-        percentile([], 50)
-    with pytest.raises(ValueError):
-        percentile(values, 101)
-
-
-def test_synthetic_engine_is_deterministic_and_overlapping():
-    def harvest(seed):
-        engine = SyntheticReqGenEngine(num_requests=10, accesses=300,
-                                       jobs_per_req=2, seed=seed)
-        return [req.jobs for req in engine.reqs()]
-
-    assert harvest(7) == harvest(7)             # same seed, same traffic
-    assert harvest(7) != harvest(8)
-    engine = SyntheticReqGenEngine(num_requests=10, accesses=300,
-                                   jobs_per_req=2, seed=7)
-    keys = {SimJob.from_dict(job).key()
-            for req in engine.reqs() for job in req.jobs}
-    assert len(keys) <= len(engine.universe)    # bounded universe ...
-    assert len(keys) < 20                       # ... so overlap happened
-
-
-def test_trace_record_replay_round_trip(tmp_path):
-    engine = SyntheticReqGenEngine(num_requests=5, accesses=300, seed=3)
-    trace_path = tmp_path / "reqs.jsonl"
-    assert record_trace(engine.reqs(), trace_path) == 5
-    replayed = TraceReplayReqGenEngine(trace_path)
-    assert ([req.jobs for req in replayed.reqs()]
-            == [req.jobs for req in engine.reqs()])
-
-
-def test_driver_workload_validates_its_arrival_model():
-    engine = SyntheticReqGenEngine(num_requests=1)
-    with pytest.raises(ValueError):
-        DriverWorkload(engine=engine, clients=0)
-    with pytest.raises(ValueError):
-        DriverWorkload(engine=engine, mode="bursty")
-    with pytest.raises(ValueError):
-        DriverWorkload(engine=engine, mode="open")   # open needs a rate
-    DriverWorkload(engine=engine, mode="open", rate=5.0)
-
-
-def test_closed_loop_driver_measures_exactly_once_execution(live_daemon):
-    engine = SyntheticReqGenEngine(num_requests=8, accesses=350,
-                                   jobs_per_req=2, seed=11)
-    workload = DriverWorkload(engine=engine, clients=4, mode="closed")
-    stats = LoadDriver(live_daemon.url, workload,
-                       request_timeout=scaled(120.0)).run()
-    assert stats.requests == 8 and stats.failed == 0
-    assert stats.server["executed_delta"] == stats.unique_keys
-    assert stats.server["attached_delta"] + stats.unique_keys == 16
-    assert stats.latency_p50_s <= stats.latency_p99_s <= stats.latency_max_s
-    doc = stats.to_dict()
-    assert doc["ok"] == 8 and doc["server"]["cache_hits_delta"] == 0
-
-
-def test_open_loop_driver_respects_its_schedule(live_daemon):
-    engine = SyntheticReqGenEngine(num_requests=4, accesses=300,
-                                   jobs_per_req=1, seed=2)
-    workload = DriverWorkload(engine=engine, clients=2, mode="open",
-                              rate=50.0)
-    stats = LoadDriver(live_daemon.url, workload,
-                       request_timeout=scaled(120.0)).run()
-    assert stats.ok == 4
-    assert stats.elapsed_s >= 3 / 50.0      # last arrival offset waited
-
-
-def test_driver_cli_reports_stats_json(live_daemon, tmp_path, capsys):
-    out = tmp_path / "stats.json"
-    rc = driver_main(["--server", live_daemon.url, "--clients", "2",
-                      "--requests", "4", "--accesses", "300",
-                      "--jobs-per-req", "1", "--seed", "5",
-                      "--timeout", str(scaled(120.0)),
-                      "--output", str(out)])
-    assert rc == 0
-    doc = json.loads(out.read_text())
-    assert doc["requests"] == 4 and doc["failed"] == 0
-    assert doc["server"]["executed_delta"] == doc["unique_keys"]
-    assert "p99" in doc["latency_s"]
-    assert "4 request(s), 4 ok" in capsys.readouterr().err
