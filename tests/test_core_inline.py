@@ -15,7 +15,10 @@ import pytest
 
 import repro.offchip.popet as popet_module
 import repro.sim.simulator as simulator_module
+from repro.dram.controller import MemoryController
+from repro.memory.cache import Cache, CacheConfig
 from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.replacement import SHiPPolicy
 from repro.offchip.factory import make_predictor
 from repro.offchip.popet import POPET, POPETConfig
 from repro.perf.golden import (
@@ -48,6 +51,25 @@ class CallPathHierarchy(CacheHierarchy):
 class CallPathPOPET(POPET):
     """Fails the loop's exact-type guard: every load calls ``predict``
     and ``train``."""
+
+
+class CallPathSHiP(SHiPPolicy):
+    """An LLC policy that fails the loop's exact-type guard: every L2
+    miss calls ``CacheHierarchy._post_l2``."""
+
+
+class CallPathController(MemoryController):
+    """Fails the loop's exact-type guard: every L2 miss calls
+    ``CacheHierarchy._post_l2``."""
+
+    __slots__ = ()
+
+
+def call_path_llc(config: CacheConfig) -> Cache:
+    """The driver's LLC, with a SHiP policy that fails the loop's guard."""
+    if config.replacement != "ship":
+        return Cache(config)
+    return Cache(config, CallPathSHiP(config.num_sets, config.ways))
 
 
 def learned_state(predictor):
