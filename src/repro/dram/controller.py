@@ -128,21 +128,6 @@ class MemoryController:
         self._burst_cycles = self.config.burst_cycles
 
     # ------------------------------------------------------------------ #
-    # Address mapping
-    # ------------------------------------------------------------------ #
-
-    def _map(self, block: int) -> tuple[int, int, int]:
-        """Map a block number to (channel, bank index, row)."""
-        row_id = block // self._blocks_per_row
-        channels = self.config.channels
-        channel = row_id % channels
-        banks_per_channel = self._banks_per_channel
-        bank_in_channel = (row_id // channels) % banks_per_channel
-        bank = channel * banks_per_channel + bank_in_channel
-        row = row_id // (channels * banks_per_channel)
-        return channel, bank, row
-
-    # ------------------------------------------------------------------ #
     # Request servicing
     # ------------------------------------------------------------------ #
 
@@ -179,8 +164,9 @@ class MemoryController:
                 stats.total_read_latency += inflight_ready - cycle
             return inflight_ready
 
-        # Address mapping (self._map) and row-buffer timing
-        # (DRAMTiming.access_latency), inlined for the per-request path.
+        # Address mapping (rows stripe across channels, then banks) and
+        # row-buffer timing (DRAMTiming.access_latency), inlined for the
+        # per-request path.
         channels = self.config.channels
         banks_per_channel = self._banks_per_channel
         row_id = block // self._blocks_per_row
@@ -279,10 +265,6 @@ class MemoryController:
     # Internal helpers
     # ------------------------------------------------------------------ #
 
-    def outstanding_requests(self, cycle: int) -> int:
-        """Number of requests still in flight at ``cycle`` (read-queue occupancy)."""
-        return sum(1 for ready in self._inflight.values() if ready > cycle)
-
     def _prune(self, cycle: int) -> None:
         """Incrementally drop completed requests (lazy heap, no full scans).
 
@@ -300,12 +282,6 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    @property
-    def total_memory_requests(self) -> int:
-        """Total read-side requests (demand + prefetch + Hermes)."""
-        return (self.stats.demand_requests + self.stats.prefetch_requests
-                + self.stats.hermes_requests)
 
     def row_buffer_hit_rate(self) -> float:
         total = self.stats.row_hits + self.stats.row_misses + self.stats.row_conflicts

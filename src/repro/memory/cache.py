@@ -393,13 +393,6 @@ class Cache:
             if mshr.get(block) == ready:
                 del mshr[block]
 
-    def mshr_occupancy(self, cycle: int) -> int:
-        """Number of misses still outstanding at ``cycle``."""
-        self._prune_mshrs(cycle)
-        # After pruning, every remaining entry is still in flight (each
-        # recorded ready cycle has a heap twin, so none <= cycle survive).
-        return len(self._mshr)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #

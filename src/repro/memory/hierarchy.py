@@ -410,7 +410,6 @@ class CacheHierarchy:
             else:
                 completion = memory_controller.access(address, arrival,
                                                       RequestSource.DEMAND)
-        llc.record_miss(address, completion)
         self.l1d.record_miss(address, completion)
         self._fill_all(address, pc, completion, is_write)
         outcome.completion_cycle = completion
