@@ -22,8 +22,9 @@ a generator.  The simulation driver opens a span per core
 interleaving several cores over a shared LLC and memory controller; a
 single core runs each span to its end in one resume.
 :meth:`~OutOfOrderCore.run_span` does that in one call.
-On the paper's Table 4 system the loop also runs POPET and the common
-L1/L2 load paths inline instead of calling them.
+On the paper's Table 4 system the loop also runs POPET and the demand
+load path, from the L1 down to the LLC and the DRAM controller, inline
+instead of calling them.
 
 The in-flight load window is a ring buffer of parallel preallocated
 lists (instruction index, completion cycle, off-chip flag, on-chip
@@ -37,7 +38,7 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.config.schema import SerializableConfig
 from repro.core.hermes import HermesEngine
-from repro.dram.controller import RequestSource
+from repro.dram.controller import MemoryController, RequestSource
 from repro.memory.address import BLOCK_BITS, PAGE_BITS, PAGE_SIZE
 from repro.memory.cache import (
     FLAG_DIRTY,
@@ -46,8 +47,9 @@ from repro.memory.cache import (
     FLAG_VALID,
 )
 from repro.memory.hierarchy import CacheHierarchy
-from repro.memory.replacement import LRUPolicy
+from repro.memory.replacement import LRUPolicy, SHiPPolicy
 from repro.offchip.popet import POPET, WEIGHT_MAX, WEIGHT_MIN
+from repro.prefetchers.base import NoPrefetcher
 from repro.workloads.trace import Trace
 
 #: A multicore scheduling bound: another core's (frontend cycle, rank)
@@ -255,13 +257,32 @@ class OutOfOrderCore:
           entry still recorded), an L1 MSHR merge, and an L2 hit with its
           L1 fill, when the hierarchy is exactly
           :class:`~repro.memory.hierarchy.CacheHierarchy` with LRU L1 and
-          L2.  An L2 miss calls ``CacheHierarchy._post_l2``.
+          L2;
+        * ``CacheHierarchy._post_l2`` for an L2 miss, when in addition the
+          LLC's policy is exactly :class:`~repro.memory.replacement.SHiPPolicy`
+          and the controller exactly
+          :class:`~repro.dram.controller.MemoryController`: an LLC hit
+          with its late-prefetch wait, or an LLC miss with the Hermes
+          wait and claim, a merge into a request in flight, or a new
+          demand request with its bank, row-buffer and channel timing;
+          then the L1 MSHR record and the LLC, L2 and L1 fills in
+          ``_fill_all``'s order.  Otherwise an L2 miss calls
+          ``_post_l2``.
 
         Everything else calls the layer methods: stores, other
-        predictors, subclasses and replacement policies.  The inlined
-        paths' per-core counters (L1, L2, hierarchy, Hermes, POPET) are
-        batched in locals too; the shared LLC and memory controller are
-        only reached through calls, which update them in place.
+        predictors, subclasses and replacement policies, prefetcher
+        training and prefetch issue, Hermes requests and drains, the L1
+        MSHR record (``Cache.record_miss``) and the in-flight insert
+        (``MemoryController._track``), which own the heap entries, and
+        fills that write a dirty victim back, find the LLC set full, or
+        find a set with holes.  The per-core counters of the inlined
+        paths (L1, L2, hierarchy, Hermes, POPET and the no-prefetching
+        baseline's observation count) are batched in locals too.  The
+        shared LLC's and controller's counters update in place, and
+        their statistics objects are read again after every resume,
+        since the driver replaces them while a span is paused.  The
+        layers reassign ``_has_holes`` and the MSHR and in-flight heaps,
+        so the loop never binds those.
         """
         stats = self.stats
         hierarchy = self.hierarchy
@@ -270,9 +291,14 @@ class OutOfOrderCore:
         hierarchy_store = hierarchy.store
         l1d = hierarchy.l1d
         l2 = hierarchy.l2
+        llc = hierarchy.llc
+        memory_controller = hierarchy.memory_controller
         inline_memory = (type(hierarchy) is CacheHierarchy
                          and type(l1d.replacement) is LRUPolicy
                          and type(l2.replacement) is LRUPolicy)
+        inline_miss = (inline_memory
+                       and type(llc.replacement) is SHiPPolicy
+                       and type(memory_controller) is MemoryController)
         if inline_memory:
             post_l2 = hierarchy._post_l2
             l1_where = l1d._where
@@ -289,13 +315,62 @@ class OutOfOrderCore:
             l1_mshr = l1d._mshr
             l1_mshr_get = l1_mshr.get
             l1_fill = l1d.fill
+            l1_record_miss = l1d.record_miss
+            l2_where = l2._where
             l2_where_get = l2._where_get
+            l2_tags = l2._tags
             l2_flags = l2._flags
+            l2_valid_count = l2._valid_count
             l2_ways = l2.num_ways
+            l2_sets = l2.num_sets
+            l2_set_mask = l2._set_mask
+            l2_use_mask = l2._use_mask
             l2_age = l2.replacement._age
             l2_clock = l2.replacement._clock
             l2_fill = l2.fill
             l2_onchip = hierarchy._l2_onchip
+        if inline_miss:
+            full_onchip = hierarchy._full_onchip
+            llc_where = llc._where
+            llc_where_get = llc._where_get
+            llc_tags = llc._tags
+            llc_flags = llc._flags
+            llc_valid_count = llc._valid_count
+            llc_ways = llc.num_ways
+            llc_sets = llc.num_sets
+            llc_set_mask = llc._set_mask
+            llc_use_mask = llc._use_mask
+            llc_fill = llc.fill
+            ship = llc.replacement
+            ship_rrpv = ship._rrpv
+            ship_signature = ship._signature
+            ship_reused = ship._reused
+            ship_shct = ship._shct
+            shct_mask = SHiPPolicy.SHCT_SIZE - 1
+            shct_max = SHiPPolicy.SHCT_MAX
+            max_rrpv = SHiPPolicy.MAX_RRPV
+            pending_pop = hierarchy._pending_prefetch.pop
+            issue_prefetch = hierarchy._issue_prefetch
+            prefetcher = hierarchy.prefetcher
+            # The no-prefetching baseline's prefetcher only counts the
+            # accesses it observes; the count is batched.
+            count_observed = type(prefetcher) is NoPrefetcher
+            prefetcher_observe = (None if prefetcher is None or count_observed
+                                  else prefetcher.on_demand_access)
+            inflight_get = memory_controller._inflight.get
+            hermes_unclaimed = memory_controller._hermes_unclaimed
+            mc_track = memory_controller._track
+            banks = memory_controller._banks
+            channel_busy = memory_controller._channel_busy_until
+            channels = memory_controller.config.channels
+            banks_per_channel = memory_controller._banks_per_channel
+            channel_banks = channels * banks_per_channel
+            blocks_per_row = memory_controller._blocks_per_row
+            timing = memory_controller.timing
+            row_hit_cycles = timing.tcas
+            row_miss_cycles = timing.trcd + timing.tcas
+            row_conflict_cycles = timing.trp + timing.trcd + timing.tcas
+            burst_cycles = memory_controller._burst_cycles
         inline_popet = False
         if hermes is not None:
             predictor = hermes.predictor
@@ -350,6 +425,8 @@ class OutOfOrderCore:
         stall_offchip = stall_onchip_portion = stall_other = 0
         n_l1_hits = n_l1_useful = n_l1_merges = n_l1_evictions = 0
         n_l1_writebacks = n_l2_accesses = n_l2_hits = n_l2_useful = 0
+        n_l2_evictions = n_l2_writebacks = n_observed = 0
+        n_llc_misses = n_hermes_waits = n_late_prefetches = 0
         load_latency = n_hierarchy_offchip = offchip_latency = 0
         offchip_onchip_latency = 0
         n_issued = n_useful = 0
@@ -399,6 +476,11 @@ class OutOfOrderCore:
                 if inline_popet:
                     history._head = history_head
                 bound = yield
+                if inline_miss:
+                    # The driver replaces the shared LLC's and controller's
+                    # statistics while this span is paused.
+                    llc_stats = llc.stats
+                    mc_stats = memory_controller.stats
                 if bound is None:
                     limit = float("inf")
                 else:
@@ -547,24 +629,214 @@ class OutOfOrderCore:
                     else:
                         n_l2_accesses += 1
                         slot = l2_where_get(block, -1)
-                        if slot >= 0:
-                            # L2 hit (Cache.access with LRUPolicy.on_hit).
-                            n_l2_hits += 1
-                            flags = l2_flags[slot]
-                            if flags & FLAG_PREFETCHED and not flags & FLAG_REUSED:
-                                n_l2_useful += 1
-                            l2_flags[slot] = flags | FLAG_REUSED
-                            set_index = slot // l2_ways
-                            clock = l2_clock[set_index] + 1
-                            l2_clock[set_index] = clock
-                            l2_age[slot] = clock
-                            completion = issue_cycle + l2_onchip
-                            onchip_latency = l2_onchip
+                        if slot < 0 and not inline_miss:
+                            outcome = post_l2(block, address, pc, issue_cycle,
+                                              False, hermes_ready)
+                            completion = outcome.completion_cycle
+                            onchip_latency = outcome.onchip_latency
+                            if outcome.went_offchip:
+                                went_offchip = True
+                                hermes_used = outcome.hermes_used
+                                n_hierarchy_offchip += 1
+                                offchip_latency += completion - issue_cycle
+                                offchip_onchip_latency += onchip_latency
+                        else:
+                            if slot >= 0:
+                                # L2 hit (Cache.access with LRUPolicy.on_hit).
+                                n_l2_hits += 1
+                                flags = l2_flags[slot]
+                                if (flags & FLAG_PREFETCHED
+                                        and not flags & FLAG_REUSED):
+                                    n_l2_useful += 1
+                                l2_flags[slot] = flags | FLAG_REUSED
+                                set_index = slot // l2_ways
+                                clock = l2_clock[set_index] + 1
+                                l2_clock[set_index] = clock
+                                l2_age[slot] = clock
+                                completion = issue_cycle + l2_onchip
+                                onchip_latency = l2_onchip
+                            else:
+                                # CacheHierarchy._post_l2: the LLC (Cache.access
+                                # with SHiPPolicy.on_hit), then DRAM.
+                                llc_cycle = issue_cycle + l2_onchip
+                                completion = issue_cycle + full_onchip
+                                onchip_latency = full_onchip
+                                llc_stats.demand_accesses += 1
+                                slot = llc_where_get(block, -1)
+                                if slot >= 0:
+                                    llc_stats.demand_hits += 1
+                                    flags = llc_flags[slot]
+                                    if (flags & FLAG_PREFETCHED
+                                            and not flags & FLAG_REUSED):
+                                        llc_stats.useful_prefetches += 1
+                                    llc_flags[slot] = flags | FLAG_REUSED
+                                    ship_rrpv[slot] = 0
+                                    if not ship_reused[slot]:
+                                        ship_reused[slot] = 1
+                                        signature = ship_signature[slot]
+                                        if ship_shct[signature] < shct_max:
+                                            ship_shct[signature] += 1
+                                    ready = pending_pop(block, None)
+                                    if ready is not None and ready > completion:
+                                        # Late prefetch: the data is still
+                                        # in flight from DRAM.
+                                        n_late_prefetches += 1
+                                        completion = ready
+                                    if prefetcher_observe is None:
+                                        n_observed += 1
+                                    else:
+                                        for candidate in prefetcher_observe(
+                                                address, pc, llc_cycle, True):
+                                            issue_prefetch(candidate, pc,
+                                                           llc_cycle)
+                                else:
+                                    llc_stats.demand_misses += 1
+                                    n_llc_misses += 1
+                                    if prefetcher_observe is None:
+                                        n_observed += 1
+                                    else:
+                                        for candidate in prefetcher_observe(
+                                                address, pc, llc_cycle, False):
+                                            issue_prefetch(candidate, pc,
+                                                           llc_cycle)
+                                    arrival = completion
+                                    ready = inflight_get(block)
+                                    if hermes_ready is not None:
+                                        # Wait for the in-flight Hermes
+                                        # request (lookup_inflight) and
+                                        # claim it (claim_hermes).
+                                        if ready is None or ready <= arrival:
+                                            ready = hermes_ready
+                                        if ready > arrival:
+                                            completion = ready
+                                        if block in hermes_unclaimed:
+                                            del hermes_unclaimed[block]
+                                            mc_stats.hermes_consumed += 1
+                                        n_hermes_waits += 1
+                                        hermes_used = True
+                                    elif ready is not None and ready > arrival:
+                                        # Merge into the request in flight.
+                                        completion = ready
+                                        mc_stats.merged_requests += 1
+                                    else:
+                                        # MemoryController.access for a new
+                                        # demand request.
+                                        mc_stats.demand_requests += 1
+                                        row = block // blocks_per_row
+                                        channel = row % channels
+                                        bank = banks[
+                                            channel * banks_per_channel
+                                            + (row // channels)
+                                            % banks_per_channel]
+                                        row //= channel_banks
+                                        busy = bank.busy_until
+                                        if arrival > busy:
+                                            busy = arrival
+                                        open_row = bank.open_row
+                                        if open_row == row:
+                                            bank.row_hits += 1
+                                            mc_stats.row_hits += 1
+                                            busy += row_hit_cycles
+                                        elif open_row == -1:
+                                            bank.row_misses += 1
+                                            bank.open_row = row
+                                            mc_stats.row_misses += 1
+                                            busy += row_miss_cycles
+                                        else:
+                                            bank.row_conflicts += 1
+                                            bank.open_row = row
+                                            mc_stats.row_conflicts += 1
+                                            busy += row_conflict_cycles
+                                        ready = channel_busy[channel]
+                                        if busy > ready:
+                                            ready = busy
+                                        ready += burst_cycles
+                                        bank.busy_until = busy
+                                        channel_busy[channel] = ready
+                                        mc_track(block, ready, arrival)
+                                        if block in hermes_unclaimed:
+                                            del hermes_unclaimed[block]
+                                            mc_stats.hermes_consumed += 1
+                                        mc_stats.total_reads += 1
+                                        mc_stats.total_read_latency += (
+                                            ready - arrival)
+                                        completion = ready
+                                    went_offchip = True
+                                    n_hierarchy_offchip += 1
+                                    offchip_latency += completion - issue_cycle
+                                    offchip_onchip_latency += full_onchip
+                                    l1_record_miss(address, completion)
+                                    # Cache.fill into the LLC (_fill_all); a
+                                    # block a prefetch raced in stays as it
+                                    # is.
+                                    if llc_where_get(block, -1) < 0:
+                                        set_index = (
+                                            block & llc_set_mask if llc_use_mask
+                                            else block % llc_sets)
+                                        way = llc_valid_count[set_index]
+                                        if way < llc_ways and not llc._has_holes:
+                                            # The set's first invalid way
+                                            # (SHiPPolicy.on_fill).
+                                            llc_valid_count[set_index] = way + 1
+                                            slot = set_index * llc_ways + way
+                                            llc_tags[slot] = block
+                                            llc_flags[slot] = FLAG_VALID
+                                            llc_where[block] = slot
+                                            signature = ((pc ^ (pc >> 14))
+                                                         & shct_mask)
+                                            ship_signature[slot] = signature
+                                            ship_reused[slot] = 0
+                                            ship_rrpv[slot] = (
+                                                max_rrpv
+                                                if ship_shct[signature] == 0
+                                                else max_rrpv - 1)
+                                        elif llc_fill(address, pc) is not None:
+                                            mc_stats.writeback_requests += 1
+                                # Cache.fill into the L2 (_fill_l2_l1); it
+                                # missed, and only the LLC has filled since.
+                                set_index = (block & l2_set_mask if l2_use_mask
+                                             else block % l2_sets)
+                                way = l2_valid_count[set_index]
+                                if way == l2_ways:
+                                    # A full set (LRUPolicy.evict_fill_full).
+                                    base = set_index * l2_ways
+                                    end = base + l2_ways
+                                    slot = l2_age.index(
+                                        min(l2_age[base:end]), base, end)
+                                    clock = l2_clock[set_index] + 1
+                                    l2_clock[set_index] = clock
+                                    l2_age[slot] = clock
+                                    victim = l2_tags[slot]
+                                    victim_dirty = l2_flags[slot] & FLAG_DIRTY
+                                    del l2_where[victim]
+                                    n_l2_evictions += 1
+                                    l2_tags[slot] = block
+                                    l2_flags[slot] = FLAG_VALID
+                                    l2_where[block] = slot
+                                    if victim_dirty:
+                                        n_l2_writebacks += 1
+                                        llc_fill(victim << BLOCK_BITS, pc,
+                                                 dirty=True)
+                                elif not l2._has_holes:
+                                    # The set's first invalid way
+                                    # (LRUPolicy.on_fill).
+                                    l2_valid_count[set_index] = way + 1
+                                    slot = set_index * l2_ways + way
+                                    l2_tags[slot] = block
+                                    l2_flags[slot] = FLAG_VALID
+                                    l2_where[block] = slot
+                                    clock = l2_clock[set_index] + 1
+                                    l2_clock[set_index] = clock
+                                    l2_age[slot] = clock
+                                else:
+                                    victim = l2_fill(address, pc)
+                                    if victim is not None:
+                                        llc_fill(victim, pc, dirty=True)
+                            # Cache.fill into the L1 (_fill_l1), which missed.
                             set_index = (block & l1_set_mask if l1_use_mask
                                          else block % l1_sets)
                             if l1_valid_count[set_index] == l1_ways:
-                                # Cache.fill into a full L1 set
-                                # (LRUPolicy.evict_fill_full).
+                                # A full set (LRUPolicy.evict_fill_full).
                                 base = set_index * l1_ways
                                 end = base + l1_ways
                                 slot = l1_age.index(min(l1_age[base:end]),
@@ -584,17 +856,6 @@ class OutOfOrderCore:
                                     l2_fill(victim << BLOCK_BITS, pc, dirty=True)
                             else:
                                 l1_fill(address, pc)
-                        else:
-                            outcome = post_l2(block, address, pc, issue_cycle,
-                                              False, hermes_ready)
-                            completion = outcome.completion_cycle
-                            onchip_latency = outcome.onchip_latency
-                            if outcome.went_offchip:
-                                went_offchip = True
-                                hermes_used = outcome.hermes_used
-                                n_hierarchy_offchip += 1
-                                offchip_latency += completion - issue_cycle
-                                offchip_onchip_latency += onchip_latency
                 load_latency += completion - issue_cycle
             else:
                 outcome = hierarchy_load(address, pc, issue_cycle, hermes_ready)
@@ -685,6 +946,9 @@ class OutOfOrderCore:
             hierarchy_stats.offchip_loads += n_hierarchy_offchip
             hierarchy_stats.total_offchip_latency += offchip_latency
             hierarchy_stats.total_offchip_onchip_latency += offchip_onchip_latency
+            hierarchy_stats.llc_misses += n_llc_misses
+            hierarchy_stats.llc_prefetch_late += n_late_prefetches
+            hierarchy_stats.hermes_waits += n_hermes_waits
             l1_stats = l1d.stats
             l1_stats.demand_accesses += n_loads
             l1_stats.demand_hits += n_l1_hits
@@ -698,6 +962,10 @@ class OutOfOrderCore:
             l2_stats.demand_hits += n_l2_hits
             l2_stats.demand_misses += n_l2_accesses - n_l2_hits
             l2_stats.useful_prefetches += n_l2_useful
+            l2_stats.evictions += n_l2_evictions
+            l2_stats.writebacks += n_l2_writebacks
+        if inline_miss and count_observed:
+            prefetcher.stats.accesses_observed += n_observed
         if hermes is not None:
             hermes._loads_since_drain = hermes_loads_since_drain
             hermes_stats = hermes.stats

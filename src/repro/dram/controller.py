@@ -206,23 +206,12 @@ class MemoryController:
         bank.busy_until = busy
         self._channel_busy_until[channel] = ready
 
-        self._inflight[block] = ready
-        heapq.heappush(self._inflight_heap, (ready, block))
+        self._track(block, ready, cycle)
         if source is RequestSource.HERMES:
             hermes_unclaimed[block] = ready
         elif source is RequestSource.DEMAND and block in hermes_unclaimed:
             del hermes_unclaimed[block]
             stats.hermes_consumed += 1
-
-        if len(self._inflight) > self._prune_limit:
-            self._prune(cycle)
-        elif len(self._inflight_heap) > 2 * (self._prune_limit
-                                             + len(self._inflight)):
-            # Compact stale heap twins without touching the in-flight dict
-            # (no semantic effect) so the lazy heap stays bounded.
-            heap = [(r, b) for b, r in self._inflight.items()]
-            heapq.heapify(heap)
-            self._inflight_heap = heap
 
         if source is not RequestSource.WRITEBACK:
             stats.total_reads += 1
@@ -264,6 +253,26 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Internal helpers
     # ------------------------------------------------------------------ #
+
+    def _track(self, block: int, ready: int, cycle: int) -> None:
+        """Record a request to ``block`` that arrived at ``cycle`` and is
+        in flight until ``ready``.
+
+        ``access`` and the core loop's inlined demand path share this.
+        Once the in-flight dict outgrows four read queues, completed
+        requests are pruned; otherwise, once the lazy heap holds more
+        than twice that many stale twins, it is rebuilt from the dict
+        (no semantic effect), so it stays bounded.
+        """
+        inflight = self._inflight
+        inflight[block] = ready
+        heapq.heappush(self._inflight_heap, (ready, block))
+        if len(inflight) > self._prune_limit:
+            self._prune(cycle)
+        elif len(self._inflight_heap) > 2 * (self._prune_limit + len(inflight)):
+            heap = [(r, b) for b, r in inflight.items()]
+            heapq.heapify(heap)
+            self._inflight_heap = heap
 
     def _prune(self, cycle: int) -> None:
         """Incrementally drop completed requests (lazy heap, no full scans).

@@ -22,8 +22,10 @@ scalars out (the tests do exactly that).
 On the Table 4 hierarchy (this exact class with LRU L1 and L2) the core
 loop, :meth:`repro.cpu.core.OutOfOrderCore._span_loop`, does not call
 ``load``: it runs the L1 and L2 hit, MSHR and L1 fill work inline,
-reading the caches' tag stores and LRU state directly, and calls
-:meth:`CacheHierarchy._post_l2` for an L2 miss.  ``load`` is the
+reading the caches' tag stores and LRU state directly.  With a SHiP LLC
+and an exact :class:`~repro.dram.controller.MemoryController` it runs
+:meth:`CacheHierarchy._post_l2`, the LLC and DRAM half of an L2 miss,
+inline too, and calls it otherwise.  ``load`` and ``_post_l2`` are the
 reference that inline copy is tested against, and what every other
 hierarchy runs; stores always go through ``store``.
 """
@@ -342,10 +344,12 @@ class CacheHierarchy:
                  is_write: bool, hermes_ready: Optional[int]) -> LoadOutcome:
         """The LLC -> DRAM portion of a demand access (post-L2-miss).
 
-        The core loop calls this directly for an L2 miss.  It reads the
-        shared LLC's and memory controller's statistics objects afresh on
-        every call, since the driver replaces them while other cores'
-        spans are paused.
+        On the Table 4 system the core loop runs this inline, statement
+        for statement; behind any other LLC policy or controller it
+        calls this directly for an L2 miss.  It reads the shared LLC's
+        and memory controller's statistics objects afresh on every call
+        (the inline copy, after every resume), since the driver
+        replaces them while other cores' spans are paused.
         """
         outcome = self._outcome
         outcome.address = address

@@ -1,15 +1,17 @@
-"""The core loop's inlined POPET and L1/L2 paths against the layer methods.
+"""The core loop's inlined POPET and load paths against the layer methods.
 
 On the Table 4 system ``OutOfOrderCore._span_loop`` runs POPET's
-``predict``/``train`` and the common ``CacheHierarchy.load`` paths
-inline.  Its guards are exact-type checks, so a subclass of
-``CacheHierarchy`` or ``POPET`` that changes nothing still takes the
-call path.  Every configuration run both ways must produce identical
-statistics, and counting wrappers show that the inline paths engage
-where they should.
+``predict``/``train`` and ``CacheHierarchy.load`` inline, down to the
+LLC and DRAM.  Its guards are exact-type checks, so a subclass of
+``CacheHierarchy``, ``POPET``, the LLC's ``SHiPPolicy`` or
+``MemoryController`` that changes nothing still takes the call path.
+Every configuration run both ways must produce identical statistics,
+and counting wrappers show that the inline paths engage where they
+should.  ``test_loop_contract.py`` fuzzes the same comparison.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -187,7 +189,8 @@ def test_multicore_loop_matches_layer_methods(monkeypatch, prefetcher,
 # --------------------------------------------------------------------------- #
 
 LAYER_METHODS = ((POPET, "predict"), (POPET, "train"),
-                 (CacheHierarchy, "load"), (CacheHierarchy, "store"))
+                 (CacheHierarchy, "load"), (CacheHierarchy, "store"),
+                 (CacheHierarchy, "_post_l2"))
 
 
 def counting(counts, key, method):
@@ -232,3 +235,30 @@ def test_call_path_subclasses_call_every_layer_method(monkeypatch, calls):
     assert (calls["POPET.predict"] == calls["POPET.train"]
             == calls["CacheHierarchy.load"] == loads)
     assert calls["CacheHierarchy.store"] == len(trace.accesses) - loads
+
+
+@pytest.mark.parametrize("reference",
+                         [None, "hierarchy", "llc-policy", "controller"])
+def test_l2_misses_run_the_inline_miss_path(monkeypatch, calls, reference):
+    # mcf_chase is load-only, so every L2 miss is a load's: as built the
+    # loop runs them all inline, and each call-path subclass alone makes
+    # every one of them call _post_l2 again.
+    config = replace(SystemConfig.with_hermes("popet", prefetcher="spp"),
+                     warmup_fraction=0.0)
+    trace = make_trace("spec06.mcf_chase", ACCESSES)
+    assert all(access.is_load for access in trace.accesses)
+    built = []
+    monkeypatch.setattr(simulator_module, "CacheHierarchy", recording(
+        CallPathHierarchy if reference == "hierarchy" else CacheHierarchy,
+        built))
+    if reference == "llc-policy":
+        monkeypatch.setattr(simulator_module, "Cache", call_path_llc)
+    elif reference == "controller":
+        monkeypatch.setattr(simulator_module, "MemoryController",
+                            CallPathController)
+    simulate_trace(config, trace)
+    simulate_multicore(config, [trace, trace])
+    assert len(built) == 3
+    misses = sum(hierarchy.l2.stats.demand_misses for hierarchy in built)
+    assert misses > 0
+    assert calls["CacheHierarchy._post_l2"] == (misses if reference else 0)
