@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 from repro.config.schema import SerializableConfig
 
+#: Ceiling on each DRAM timing parameter: 80 times Table 4's 12.5 ns.
+MAX_TIMING_NS = 1000.0
+
 
 @dataclass
 class DRAMConfig(SerializableConfig):
@@ -35,12 +38,35 @@ class DRAMConfig(SerializableConfig):
     write_queue_size: int = 64
 
     def validate(self) -> None:
-        if self.channels <= 0 or self.ranks_per_channel <= 0 or self.banks_per_rank <= 0:
-            raise ValueError("DRAM organisation parameters must be positive")
-        if self.transfer_rate_mtps <= 0:
-            raise ValueError("transfer_rate_mtps must be positive")
-        if self.core_frequency_ghz <= 0:
-            raise ValueError("core_frequency_ghz must be positive")
+        """Reject values the controller cannot model, naming the field.
+
+        Counts, queue sizes, the transfer rate and the core frequency
+        must be positive, the bus width a positive multiple of 8 bits,
+        the row buffer at least one 64 B line, and each timing between 0
+        and :data:`MAX_TIMING_NS`.  The core loop's inlined DRAM path
+        binds the derived cycle counts once per span, so these are its
+        preconditions.
+        """
+        for name in ("channels", "ranks_per_channel", "banks_per_rank",
+                     "transfer_rate_mtps", "read_queue_size",
+                     "write_queue_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got "
+                                 f"{getattr(self, name)}")
+        if not self.core_frequency_ghz > 0:
+            raise ValueError("core_frequency_ghz must be positive, got "
+                             f"{self.core_frequency_ghz}")
+        if self.bus_width_bits < 8 or self.bus_width_bits % 8:
+            raise ValueError("bus_width_bits must be a positive multiple of "
+                             f"8, got {self.bus_width_bits}")
+        if self.row_buffer_bytes < 64:
+            raise ValueError("row_buffer_bytes must hold at least one 64 B "
+                             f"line, got {self.row_buffer_bytes}")
+        for name in ("trcd_ns", "trp_ns", "tcas_ns"):
+            if not 0 <= getattr(self, name) <= MAX_TIMING_NS:
+                raise ValueError(f"{name} must be between 0 and "
+                                 f"{MAX_TIMING_NS:g} ns, got "
+                                 f"{getattr(self, name)}")
 
     # ------------------------------------------------------------------ #
     # Derived quantities (in core cycles)

@@ -199,6 +199,13 @@ def test_non_finite_override_fails_cleanly():
     assert b"Traceback" not in proc.stderr
 
 
+def test_unmodellable_dram_override_fails_cleanly():
+    proc = run_cli("run", "--workload", "ligra.bfs", "--accesses", "500",
+                   "--set", "dram.bus_width_bits=4", expect_rc=2)
+    assert b"bus_width_bits" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_sweep_spec_runs_and_caches(tmp_path):
     spec = tmp_path / "spec.toml"
     spec.write_text("""

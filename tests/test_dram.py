@@ -31,6 +31,30 @@ def test_config_validation():
         DRAMConfig(transfer_rate_mtps=0).validate()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("bus_width_bits", 0), ("bus_width_bits", 4), ("bus_width_bits", 36),
+    ("row_buffer_bytes", 32), ("row_buffer_bytes", -1),
+    ("read_queue_size", 0), ("read_queue_size", -3),
+    ("write_queue_size", 0),
+    ("trcd_ns", -5.0), ("trcd_ns", 1e300), ("trp_ns", -0.5),
+    ("trp_ns", 1000.5), ("tcas_ns", float("nan")), ("tcas_ns", 2000.0),
+])
+def test_config_rejects_values_the_controller_cannot_model(field, value):
+    # Each used to build a controller: a zero or sub-byte bus width died
+    # dividing by zero, the rest simulated silently.
+    with pytest.raises(ValueError, match=field):
+        DRAMConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("bus_width_bits", 8), ("bus_width_bits", 512),
+    ("row_buffer_bytes", 64), ("read_queue_size", 1),
+    ("write_queue_size", 1), ("trcd_ns", 0.0), ("tcas_ns", 1000.0),
+])
+def test_config_accepts_its_bounds(field, value):
+    MemoryController(DRAMConfig(**{field: value}))
+
+
 def test_timing_row_hit_miss_conflict():
     config = DRAMConfig()
     timing = DRAMTiming(config)
