@@ -25,7 +25,7 @@ this facade fronts — but new code and external scripts should prefer
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, List, Mapping, Optional, Sequence, Union
 
 # Configuration types
 from repro.config import (

@@ -11,7 +11,6 @@ in-Python ``run_matrix`` call.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -23,7 +22,6 @@ from repro.config import (
     ConfigError,
     apply_overrides,
     parse_override,
-    parse_override_value,
 )
 from repro.config.schema import config_field_paths
 from repro.config.toml_compat import TOMLError, dumps_toml, loads_toml
@@ -33,7 +31,6 @@ from repro.dram.config import DRAMConfig
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.runner import ExperimentSpec, JobRunner, ResultCache, SimJob
-from repro.runner.spec import Axis, AxisPoint
 from repro.sim.config import SystemConfig
 
 #: One representative non-default instance per config dataclass.
