@@ -17,7 +17,7 @@ and the traces, and checks on every draw that:
 
 The draws are derandomized, so tier-1 runs the same examples every
 time.  For a change to the core loop, also run it long with fresh
-draws (a few minutes per 1,000 examples)::
+draws (about a minute per 1,000 examples on a 2-vCPU host)::
 
     REPRO_CONTRACT_EXAMPLES=2000 PYTHONPATH=src python -m pytest -q \\
         tests/test_loop_contract.py --hypothesis-seed=1
@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import reprlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -265,35 +266,64 @@ def policy_state(policy) -> Dict[str, object]:
     return state
 
 
-def cache_state(cache: Cache) -> Tuple[object, ...]:
-    return (fields(cache.stats), list(cache._tags), bytes(cache._flags),
-            list(cache._valid_count), dict(cache._mshr),
-            sorted(cache._mshr_heap), policy_state(cache.replacement))
+def cache_state(cache) -> Dict[str, object]:
+    return {"stats": fields(cache.stats), "tags": list(cache._tags),
+            "flags": bytes(cache._flags),
+            "valid_count": list(cache._valid_count),
+            "mshr": dict(cache._mshr), "mshr_heap": sorted(cache._mshr_heap),
+            "policy": policy_state(cache.replacement)}
 
 
-def controller_state(controller) -> Tuple[object, ...]:
-    return (fields(controller.stats), dict(controller._inflight),
-            sorted(controller._inflight_heap),
-            dict(controller._hermes_unclaimed),
-            [dataclasses.astuple(bank) for bank in controller._banks],
-            list(controller._channel_busy_until))
+def controller_state(controller) -> Dict[str, object]:
+    return {"stats": fields(controller.stats),
+            "inflight": dict(controller._inflight),
+            "inflight_heap": sorted(controller._inflight_heap),
+            "hermes_unclaimed": dict(controller._hermes_unclaimed),
+            "banks": [dataclasses.astuple(bank) for bank in controller._banks],
+            "channel_busy_until": list(controller._channel_busy_until)}
 
 
-def core_state(system) -> Tuple[object, ...]:
+def core_state(system) -> Dict[str, object]:
     hierarchy = system.hierarchy
-    parts = (system.core, hierarchy, hierarchy.prefetcher, system.hermes,
-             system.predictor)
-    return (*(None if part is None else fields(part.stats) for part in parts),
-            cache_state(hierarchy.l1d), cache_state(hierarchy.l2),
-            dict(hierarchy._pending_prefetch), learned_state(system.predictor))
+    state = {name: None if part is None else fields(part.stats)
+             for name, part in (("core", system.core),
+                                ("hierarchy", hierarchy),
+                                ("prefetcher", hierarchy.prefetcher),
+                                ("hermes", system.hermes),
+                                ("predictor", system.predictor))}
+    state.update(l1d=cache_state(hierarchy.l1d), l2=cache_state(hierarchy.l2),
+                 pending_prefetch=dict(hierarchy._pending_prefetch),
+                 learned=learned_state(system.predictor))
+    return state
 
 
-def fingerprint(systems) -> Tuple[object, ...]:
+def fingerprint(systems) -> Dict[str, object]:
     """Every statistic and the final model state of a run."""
     shared = systems[0]
-    return ([core_state(system) for system in systems],
-            cache_state(shared.hierarchy.llc),
-            controller_state(shared.memory_controller))
+    return {"cores": [core_state(system) for system in systems],
+            "llc": cache_state(shared.hierarchy.llc),
+            "controller": controller_state(shared.memory_controller)}
+
+
+def assert_same(actual, expected, what: str) -> None:
+    """Fail with the first place two fingerprints differ (a diff of the
+    whole fingerprints would be too large to read)."""
+    path = what
+    while actual != expected:
+        if (isinstance(actual, dict) and isinstance(expected, dict)
+                and actual.keys() == expected.keys()):
+            key = next(key for key in actual if actual[key] != expected[key])
+            actual, expected = actual[key], expected[key]
+            path += f"[{key!r}]"
+        elif (isinstance(actual, (list, tuple)) and type(actual) is type(expected)
+                and len(actual) == len(expected)):
+            index = next(index for index, pair in enumerate(zip(actual, expected))
+                         if pair[0] != pair[1])
+            actual, expected = actual[index], expected[index]
+            path += f"[{index}]"
+        else:
+            raise AssertionError(f"{path}: {reprlib.repr(actual)} != "
+                                 f"{reprlib.repr(expected)}")
 
 
 def simulate(case: Case, traces: List[Trace], reference: Optional[str] = None,
@@ -359,10 +389,10 @@ def test_inline_paths_keep_the_contract(case, reference):
     traces = case.traces()
     built = simulate(case, traces)
     expected = fingerprint(built)
-    assert fingerprint(simulate(case, traces, reference)) == expected, \
-        f"as built != {reference} call path"
-    assert fingerprint(simulate(case, traces, split=True)) == expected, \
-        "chunk splits changed the run"
+    assert_same(fingerprint(simulate(case, traces, reference)), expected,
+                f"{reference} call path")
+    assert_same(fingerprint(simulate(case, traces, split=True)), expected,
+                "chunk split")
     # The shared counters reset once every core is past its warmup, the
     # private ones at each core's own warmup end.
     if len(traces) == 1 or not case.config.warmup_fraction:
