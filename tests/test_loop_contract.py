@@ -32,7 +32,7 @@ import reprlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.offchip.popet as popet_module
 import repro.sim.simulator as simulator_module
@@ -89,6 +89,7 @@ class TraceSpec:
     seed: int
     length: int
     footprint: int
+    stride: int
     store_ratio: float
     burst_ratio: float
     dependent_ratio: float
@@ -99,6 +100,9 @@ class TraceSpec:
         ``static`` is a hot set plus sequential scans, ``shifting`` a hot
         set that moves each of four phases, ``oscillating`` a working set
         that alternates between the hot set and the whole footprint.
+        Footprint blocks lie ``stride`` blocks apart: 64 puts them all at
+        one line offset of their pages, which drives small caches into
+        set conflicts and POPET's weights into saturation.
         Bursts repeat the previous block (MSHR merges, L1 hits on fills
         in flight); stores dirty blocks, so evictions write back.
         """
@@ -126,7 +130,8 @@ class TraceSpec:
                 block = rng.randrange(size)
             accesses.append(MemoryAccess(
                 pc=pc,
-                address=((BASE_BLOCK + block) << 6) | rng.randrange(0, 64, 8),
+                address=(((BASE_BLOCK + self.stride * block) << 6)
+                         | rng.randrange(0, 64, 8)),
                 is_load=rng.random() >= self.store_ratio,
                 nonmem_before=rng.randrange(6),
                 depends_on_previous_load=rng.random() < self.dependent_ratio))
@@ -139,7 +144,8 @@ trace_specs = st.builds(
     shape=st.sampled_from(SHAPES),
     seed=st.integers(0, 2**16),
     length=st.integers(40, 700),
-    footprint=st.sampled_from((16, 64, 256, 1024, 4096)),
+    footprint=st.sampled_from((4, 16, 64, 256, 1024, 4096)),
+    stride=st.sampled_from((1, 64)),
     store_ratio=st.sampled_from((0.0, 0.1, 0.3, 0.6)),
     burst_ratio=st.sampled_from((0.0, 0.1, 0.4)),
     dependent_ratio=st.sampled_from((0.0, 0.2)))
@@ -184,18 +190,22 @@ drams = st.builds(
 @st.composite
 def predictors(draw) -> Tuple[Optional[str], Dict[str, object]]:
     """An off-chip predictor name and its factory options."""
-    name = draw(st.sampled_from((None, "popet", "popet", "hmp", "ttp",
-                                 "ideal")))
+    name = draw(st.sampled_from((None, "popet", "popet", "popet", "hmp",
+                                 "ttp", "ideal")))
     options: Dict[str, object] = {}
     if name == "popet":
-        if draw(st.booleans()):
+        if draw(st.integers(0, 2)) == 0:
             options["features"] = draw(st.lists(
                 st.sampled_from(FEATURE_NAMES), min_size=1, max_size=5,
                 unique=True))
-        low = draw(st.integers(-60, 10))
+        # Half the training bands are wider than the five weights' range
+        # (-80 to 75), so they keep training saturated weights.
+        low = draw(st.one_of(st.integers(-60, 10), st.integers(-100, -80)))
+        high = draw(st.one_of(st.integers(max(low, 0), 60),
+                              st.integers(75, 100)))
         options.update(activation_threshold=draw(st.integers(-40, 10)),
                        negative_training_threshold=low,
-                       positive_training_threshold=draw(st.integers(low, 60)))
+                       positive_training_threshold=high)
     return name, options
 
 
@@ -218,9 +228,12 @@ def cases(draw) -> Case:
     predictor, options = draw(predictors())
     config = SystemConfig(
         label="contract",
-        core=draw(st.builds(CoreConfig, rob_size=st.integers(4, 256),
+        # A load queue of one or two entries spaces a small footprint's
+        # DRAM requests out, so the same lines are fetched again and again.
+        core=draw(st.builds(CoreConfig,
+                            rob_size=st.sampled_from((4, 16, 64, 256)),
                             fetch_width=st.integers(1, 6),
-                            load_queue_size=st.integers(1, 48))),
+                            load_queue_size=st.sampled_from((1, 2, 8, 48)))),
         hierarchy=HierarchyConfig(
             l1d=draw(caches("L1D", 8, 6, (1, 5), "lru")),
             l2=draw(caches("L2", 32, 8, (0, 20), "lru")),
@@ -383,6 +396,68 @@ def assert_identities(systems) -> None:
             == total("hierarchy", "loads"))
 
 
+def corner(prefetcher: str, predictor: Optional[str],
+           hierarchy: HierarchyConfig, options: Dict[str, object],
+           specs: List[TraceSpec], splits: List[List[int]],
+           **fields) -> Case:
+    """A case the draws reach too rarely for the derandomized run."""
+    config = SystemConfig(
+        label="contract", hierarchy=hierarchy, prefetcher=prefetcher,
+        offchip_predictor=predictor,
+        hermes=HermesConfig() if predictor else HermesConfig.disabled(),
+        **fields)
+    return Case(config, options, specs, splits)
+
+
+def one_line(name: str, **fields) -> CacheConfig:
+    return CacheConfig(name, size_bytes=64, ways=1, latency=2, **fields)
+
+
+# Two cores fetch four lines again and again through one-line caches:
+# the controller compacts its in-flight heap under the loop, and the
+# second core's warmup end replaces the shared statistics mid-span.
+@example(case=corner(
+    "none", "popet",
+    HierarchyConfig(one_line("L1D"), one_line("L2"),
+                    one_line("LLC", replacement="ship")),
+    {"activation_threshold": -40},
+    [TraceSpec("oscillating", 1, 700, 4, 1, 0.0, 0.0, 0.0)] * 2,
+    [[350], []], core=CoreConfig(rob_size=4, load_queue_size=1),
+    dram=DRAMConfig(read_queue_size=1), warmup_fraction=0.3),
+    reference="controller")
+# One line offset per page: POPET's weights saturate and its page
+# buffer overflows.
+@example(case=corner(
+    "none", "popet", HierarchyConfig(),
+    {"negative_training_threshold": -100, "positive_training_threshold": 100},
+    [TraceSpec("static", 3, 700, 1024, 64, 0.0, 0.0, 0.0)], [[]]),
+    reference="hierarchy")
+# SPP prefetches the very line that missed the LLC, into a set with room
+# for it, before the demand request fills it.
+@example(case=corner(
+    "spp", None,
+    HierarchyConfig(CacheConfig("L1D", 256, 2, 3), CacheConfig("L2", 256, 1, 3),
+                    CacheConfig("LLC", 16 * 12 * 64, 12, 3,
+                                replacement="ship")),
+    {}, [TraceSpec("shifting", 409, 700, 1024, 1, 0.1, 0.4, 0.0)], [[]],
+    core=CoreConfig(load_queue_size=8),
+    dram=DRAMConfig(trcd_ns=1.0, trp_ns=1.0, tcas_ns=1.0, read_queue_size=4),
+    warmup_fraction=0.0),
+    reference="controller")
+# The same, for a load whose Hermes request completed before it reached
+# the LLC: it waits for the prefetch instead.
+@example(case=corner(
+    "spp", "popet",
+    HierarchyConfig(CacheConfig("L1D", 256, 2, 5),
+                    CacheConfig("L2", 256, 1, 20),
+                    CacheConfig("LLC", 16 * 12 * 64, 12, 30,
+                                replacement="ship")),
+    {"activation_threshold": -40},
+    [TraceSpec("shifting", 489, 700, 1024, 1, 0.1, 0.0, 0.0)], [[]],
+    core=CoreConfig(load_queue_size=1),
+    dram=DRAMConfig(trcd_ns=1.0, trp_ns=1.0, tcas_ns=1.0, read_queue_size=4),
+    warmup_fraction=0.0),
+    reference="controller")
 @CONTRACT
 @given(case=cases(), reference=st.sampled_from(REFERENCES))
 def test_inline_paths_keep_the_contract(case, reference):
