@@ -369,8 +369,9 @@ def assert_identities(systems) -> None:
 
     The controller's ``hermes_consumed`` is left out: a demand request
     that finds a completed Hermes request not yet drained also counts
-    it, and a Hermes request that merged into another one in flight is
-    never counted, so it need not equal ``hermes_waits``.
+    it, and a Hermes request that merged into a demand or prefetch
+    request in flight is never claimed, so it need not equal
+    ``hermes_waits`` (ROADMAP, "Invariants at runtime").
     """
     def total(part: str, key: str) -> int:
         return sum(getattr(getattr(system, part).stats, key)
