@@ -63,12 +63,7 @@ from repro.runner import (
     diff_specs,
     make_backend,
 )
-from repro.runner.distributed import (
-    DistributedBackend,
-    ShardedResultCache,
-    WorkerLoop,
-    open_result_cache,
-)
+from repro.runner.distributed import DistributedBackend, WorkerLoop
 from repro.report import (
     REPORT_SCHEMA_VERSION,
     FigureResult,
@@ -99,8 +94,7 @@ __all__ = [
     "JobRunner", "SerialBackend", "ProcessPoolBackend", "ResultCache",
     "make_backend",
     # distributed sweeps
-    "DistributedBackend", "ShardedResultCache", "WorkerLoop",
-    "open_result_cache",
+    "DistributedBackend", "WorkerLoop",
     # delta sweeps
     "SpecDelta", "diff_specs",
     # resilience

@@ -312,7 +312,7 @@ def _load_spec(path: str, args: argparse.Namespace):
 
 def _sweep_spec(args: argparse.Namespace) -> int:
     """Run a declarative spec file (``repro sweep --spec path.toml``)."""
-    from repro.runner import JobRunner, RetryPolicy
+    from repro.runner import JobRunner, ResultCache, RetryPolicy
     from repro.runner.backends import make_backend
 
     ignored = [flag for flag, value in [
@@ -336,18 +336,8 @@ def _sweep_spec(args: argparse.Namespace) -> int:
     backend = make_backend(backend_name, max_workers=args.max_workers,
                            shared_dir=args.cache_dir,
                            lease_ttl=args.lease_ttl)
-    cache = None
-    if args.cache_dir is not None:
-        if backend_name == "distributed":
-            # The distributed path *upgrades* the directory to the
-            # sharded layout (migrating a flat legacy cache in place).
-            from repro.runner.distributed import ShardedResultCache
-            cache = ShardedResultCache(args.cache_dir)
-        else:
-            # Local backends defer to whatever layout the directory
-            # already speaks.
-            from repro.runner.distributed import open_result_cache
-            cache = open_result_cache(args.cache_dir)
+    cache = (ResultCache(args.cache_dir) if args.cache_dir is not None
+             else None)
 
     jobs = spec.jobs()
     delta = None

@@ -12,7 +12,8 @@ lists executed through pluggable backends with two cache layers:
   :class:`~repro.runner.backends.ProcessPoolBackend` — bit-identical
   results, the latter fanning jobs out over worker processes.
 * :class:`~repro.runner.cache.ResultCache` — optional on-disk result
-  memoisation keyed by a stable hash of the job spec (the in-process
+  memoisation keyed by a stable hash of the job spec, one flat
+  ``<dir>/<key>.pkl`` layout for every cache directory (the in-process
   trace cache lives with the workload catalogue in
   :mod:`repro.workloads.suite`).
 * :class:`~repro.runner.runner.JobRunner` — ties the above together.
@@ -20,7 +21,8 @@ lists executed through pluggable backends with two cache layers:
   TOML/JSON documents (base config + override axes + workloads),
   expanded into the same job matrices.
 * :mod:`repro.runner.distributed` — multi-process cooperative sweeps
-  over a shared directory (sharded cache + file-based work queue);
+  over a shared directory (the same result cache + a file-based work
+  queue);
   resolved lazily through :func:`~repro.runner.backends.make_backend`
   so local runs never import it.
 * :mod:`repro.runner.delta` — spec-matrix diffs by content hash, the

@@ -1,8 +1,7 @@
 """Pluggable execution backends with per-job fault isolation.
 
 A backend turns a job list into per-job :class:`~repro.runner.status.JobOutcome`
-records (``run_outcomes``) or, for the legacy all-or-nothing contract,
-a plain result list (``map_jobs``).  Both backends are deterministic:
+records (``run_outcomes``).  Both backends are deterministic:
 jobs carry seeds, workers rebuild traces from those seeds, so
 :class:`SerialBackend` and :class:`ProcessPoolBackend` produce
 bit-identical results.
@@ -33,17 +32,11 @@ from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.execute import execute_job, run_job_attempt
+from repro.runner.execute import run_job_attempt
 from repro.runner.job import SimJob
-from repro.runner.status import (
-    JobOutcome,
-    JobTimeoutError,
-    RetryPolicy,
-    SweepError,
-    SweepReport,
-)
+from repro.runner.status import JobOutcome, JobTimeoutError, RetryPolicy
 
 #: Callback fired in the parent the moment one job reaches a terminal
 #: outcome (in completion order, not job order) — the checkpoint hook.
@@ -78,41 +71,21 @@ def make_backend(name: str, *, max_workers: Optional[int] = None,
 
 
 class ExecutionBackend(ABC):
-    """Maps jobs to per-job outcomes (or, legacy, to a result list)."""
+    """Maps jobs to per-job outcomes."""
 
     name: str = "abstract"
 
     @abstractmethod
-    def map_jobs(self, jobs: Sequence[SimJob]) -> List[Any]:
-        """Execute every job and return results in job order.
-
-        All-or-nothing: the first failure propagates and discards the
-        batch.  Prefer :meth:`run_outcomes` anywhere partial progress
-        matters.
-        """
-
     def run_outcomes(self, jobs: Sequence[SimJob],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
                      ) -> List[JobOutcome]:
         """Execute every job, returning one outcome per job in job order.
 
-        Base implementation wraps :meth:`map_jobs` for backends that
-        predate the outcome contract: no per-job isolation, no retries
-        (``policy`` is ignored), and ``on_complete`` fires only after
-        the whole batch returns.  Both shipped backends override this.
+        Each job runs in isolation under ``policy`` (a default
+        :class:`RetryPolicy` when ``None``) until it reaches a terminal
+        outcome; ``on_complete`` fires as each one does.
         """
-        jobs = list(jobs)
-        started = time.perf_counter()
-        results = self.map_jobs(jobs)
-        per_job = (time.perf_counter() - started) / max(1, len(jobs))
-        outcomes = [JobOutcome(index=index, key=job.key(), status="ok",
-                               attempts=1, duration_s=per_job, result=result)
-                    for index, (job, result) in enumerate(zip(jobs, results))]
-        if on_complete is not None:
-            for job, outcome in zip(jobs, outcomes):
-                on_complete(job, outcome)
-        return outcomes
 
 
 def _attempt_loop(index: int, job: SimJob, policy: RetryPolicy) -> JobOutcome:
@@ -152,9 +125,6 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def map_jobs(self, jobs: Sequence[SimJob]) -> List[Any]:
-        return [execute_job(job) for job in jobs]
-
     def run_outcomes(self, jobs: Sequence[SimJob],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
@@ -188,13 +158,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.max_workers = max_workers
-
-    def map_jobs(self, jobs: Sequence[SimJob]) -> List[Any]:
-        outcomes = self.run_outcomes(jobs)
-        failures = [o for o in outcomes if not o.ok]
-        if failures:
-            raise SweepError(SweepReport(name=self.name, outcomes=outcomes))
-        return [o.result for o in outcomes]
 
     def run_outcomes(self, jobs: Sequence[SimJob],
                      policy: Optional[RetryPolicy] = None,

@@ -2,15 +2,19 @@
 
 Results are keyed by :meth:`SimJob.key` — a content hash of the full
 declarative job spec — so a cached entry is valid exactly as long as
-the job it came from is byte-for-byte the same sweep point.
+the job it came from is byte-for-byte the same sweep point.  The
+layout is flat: the entry for a job lives at ``<dir>/<key>.pkl``.
+Every cache directory — a local sweep's, ``repro report``'s, a
+distributed sweep's shared directory (next to its ``queue/``), the
+service daemon's — is opened the same way, as ``ResultCache(dir)``.
 
 The store is built for crash-resume and concurrent writers:
 
 * **Entry format** — ``MAGIC + sha256(payload) + payload`` where the
   payload is the pickled result.  The embedded checksum distinguishes
   "this entry is whole" from "a writer died mid-flight / the disk bit-
-  flipped": a half-written or tampered entry can never be served.
-  Legacy bare-pickle entries (pre-checksum) still read.
+  flipped": a half-written or tampered entry can never be served, and
+  neither can a header-less one (a pre-checksum bare pickle).
 * **Quarantine** — an unreadable entry is renamed to ``*.corrupt``
   (keeping the evidence for post-mortems) and reported as a miss, so
   the job re-executes and the next ``put`` heals the slot.  Silently
@@ -22,6 +26,9 @@ The store is built for crash-resume and concurrent writers:
   same key race harmlessly (results are deterministic per key, so both
   writers carry identical bytes).  Temp files orphaned by crashed
   writers are swept on init once they are stale, and by :meth:`clear`.
+
+A change to the entry format or the layout must make old entries miss
+(a new :data:`MAGIC`, or a new path) and never serve them.
 """
 
 from __future__ import annotations
@@ -36,44 +43,19 @@ from typing import Any, Optional, Union
 
 from repro.runner.job import SimJob
 
-#: Leads every checksummed entry; absence marks a legacy bare pickle.
+#: Leads every entry; an entry without it is never served.
 MAGIC = b"repro-result-cache:v1\n"
 
-_DIGEST_BYTES = 32  # sha256
+#: Bytes before the payload: ``MAGIC`` then the payload's sha256.
+_HEADER_BYTES = len(MAGIC) + 32
 
 #: A ``.tmp`` older than this is an orphan of a dead writer, not a
 #: write in progress (writes take milliseconds), and is swept on init.
 STALE_TMP_SECONDS = 3600.0
 
 
-def write_entry(path: Path, payload: bytes) -> None:
-    """Atomically publish one checksummed entry at ``path``.
-
-    The multi-writer primitive shared by the flat and sharded layouts:
-    the ``MAGIC + sha256 + payload`` blob is staged in a ``mkstemp``
-    temp file *next to the destination* (same directory, therefore the
-    same filesystem — ``os.replace`` across filesystems is not atomic)
-    and swapped in last-wins.  Concurrent writers of the same key carry
-    identical bytes (results are deterministic per key), so the race is
-    harmless whichever replace lands last.
-    """
-    blob = MAGIC + hashlib.sha256(payload).digest() + payload
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 class ResultCache:
-    """A directory of checksummed pickled results keyed by job hash."""
+    """A flat directory of checksummed pickled results keyed by job hash."""
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
@@ -86,14 +68,6 @@ class ResultCache:
 
     def path_for(self, job: SimJob) -> Path:
         return self.directory / f"{job.key()}.pkl"
-
-    def _scan(self, pattern: str):
-        """Every file matching ``pattern`` across the cache's layout.
-
-        The flat layout holds everything in one directory; the sharded
-        subclass overrides this to include its shard subdirectories.
-        """
-        return self.directory.glob(pattern)
 
     def has(self, job: SimJob) -> bool:
         """Whether an entry exists for ``job`` (existence only — the
@@ -108,38 +82,44 @@ class ResultCache:
         except OSError:
             self.misses += 1
             return None
-        if raw.startswith(MAGIC):
-            digest = raw[len(MAGIC):len(MAGIC) + _DIGEST_BYTES]
-            payload = raw[len(MAGIC) + _DIGEST_BYTES:]
-            if (len(digest) == _DIGEST_BYTES
-                    and hashlib.sha256(payload).digest() == digest):
-                try:
-                    result = pickle.loads(payload)
-                except Exception:
-                    # Checksum held but the payload no longer unpickles
-                    # (class moved/renamed since it was written).
-                    self._quarantine(path)
-                    self.misses += 1
-                    return None
+        payload = raw[_HEADER_BYTES:]
+        if (raw.startswith(MAGIC) and hashlib.sha256(payload).digest()
+                == raw[len(MAGIC):_HEADER_BYTES]):
+            try:
+                result = pickle.loads(payload)
+            except Exception:
+                # Checksum held but the payload no longer unpickles
+                # (class moved/renamed since it was written).
+                pass
+            else:
                 self.hits += 1
                 return result
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        # Legacy bare-pickle entry (written before checksums existed).
-        try:
-            result = pickle.loads(raw)
-        except Exception:
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        # Header-less, torn, bit-flipped or no longer unpicklable.
+        self._quarantine(path)
+        self.misses += 1
+        return None
 
     def put(self, job: SimJob, result: Any) -> None:
-        path = self.path_for(job)
+        """Atomically publish ``result`` as ``job``'s entry.
+
+        The entry is staged in a ``mkstemp`` temp file in the cache
+        directory (the same filesystem, so ``os.replace`` is atomic)
+        and swapped in last-wins.
+        """
         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        write_entry(path, payload)
+        blob = MAGIC + hashlib.sha256(payload).digest() + payload
+        fd, tmp_name = tempfile.mkstemp(dir=str(self.directory),
+                                        suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp_name, self.path_for(job))
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
 
     def _quarantine(self, path: Path) -> None:
         """Move an unreadable entry aside so the slot can heal.
@@ -162,7 +142,7 @@ class ResultCache:
         yanked out from under its ``os.replace``.
         """
         cutoff = time.time() - STALE_TMP_SECONDS
-        for tmp in self._scan("*.tmp"):
+        for tmp in self.directory.glob("*.tmp"):
             try:
                 if tmp.stat().st_mtime < cutoff:
                     tmp.unlink()
@@ -172,7 +152,7 @@ class ResultCache:
     def clear(self) -> None:
         """Drop every entry, plus orphaned temp and quarantined files."""
         for pattern in ("*.pkl", "*.tmp", "*.corrupt"):
-            for path in self._scan(pattern):
+            for path in self.directory.glob(pattern):
                 try:
                     path.unlink()
                 except OSError:
@@ -182,4 +162,4 @@ class ResultCache:
         self.quarantined = 0
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._scan("*.pkl"))
+        return sum(1 for _ in self.directory.glob("*.pkl"))

@@ -4,14 +4,12 @@ This package lets many independent worker *processes* — on one machine
 or on several sharing a filesystem — drain one sweep cooperatively,
 joining and leaving (or crashing) mid-run without double-executing
 healthy jobs or corrupting results.  Everything coordinates through a
-single shared directory; there is no broker and no network protocol:
+single shared directory; there is no broker and no network protocol.
+The directory holds the ordinary flat
+:class:`~repro.runner.cache.ResultCache` at its root — opened exactly
+as local sweeps open theirs — next to the ``queue/`` state that these
+parts share:
 
-* :class:`~repro.runner.distributed.shards.ShardedResultCache` — the
-  :class:`~repro.runner.cache.ResultCache` entry format fanned out over
-  256 key-prefix shard directories, so millions of entries never pile
-  into one directory and concurrent writers rarely touch the same
-  inode.  A legacy flat cache directory is migrated in place, once,
-  behind a layout marker; old entries keep hitting afterwards.
 * :class:`~repro.runner.distributed.queue.WorkQueue` — a file-based
   work queue with a lease protocol: claims are ``O_EXCL`` files carrying
   the owner id, liveness is the claim file's heartbeat mtime, and a
@@ -19,8 +17,8 @@ single shared directory; there is no broker and no network protocol:
   reclaimed by any live worker.
 * :class:`~repro.runner.distributed.worker.WorkerLoop` — the worker
   side: claim, execute under the retry policy, checkpoint to the
-  sharded cache, mark done.  ``repro worker SHARED`` runs one from the
-  shell.
+  shared result cache, mark done.  ``repro worker SHARED`` runs one
+  from the shell.
 * :class:`~repro.runner.distributed.backend.DistributedBackend` — the
   coordinator side, implementing the standard
   :class:`~repro.runner.backends.ExecutionBackend` contract so
@@ -28,8 +26,7 @@ single shared directory; there is no broker and no network protocol:
   for the serial and process-pool backends (and, participating as a
   worker itself, completes solo when no external workers ever join).
 
-See DESIGN.md §15 for the lease protocol, the shard layout and the
-crash matrix.
+See DESIGN.md §15 for the lease protocol and the crash matrix.
 """
 
 from repro.runner.distributed.backend import DistributedBackend
@@ -42,13 +39,6 @@ from repro.runner.distributed.queue import (
     QueueJobRecord,
     WorkQueue,
 )
-from repro.runner.distributed.shards import (
-    CACHE_LAYOUT_VERSION,
-    LAYOUT_MARKER,
-    ShardedResultCache,
-    open_result_cache,
-    shard_of,
-)
 from repro.runner.distributed.worker import (
     WorkerLoop,
     WorkerSummary,
@@ -56,20 +46,15 @@ from repro.runner.distributed.worker import (
 )
 
 __all__ = [
-    "CACHE_LAYOUT_VERSION",
     "DEFAULT_LEASE_TTL",
-    "LAYOUT_MARKER",
     "LEASE_SCHEMA_VERSION",
     "QUEUE_SCHEMA_VERSION",
     "DistributedBackend",
     "DoneRecord",
     "LeaseRecord",
     "QueueJobRecord",
-    "ShardedResultCache",
     "WorkQueue",
     "WorkerLoop",
     "WorkerSummary",
     "make_owner_id",
-    "open_result_cache",
-    "shard_of",
 ]

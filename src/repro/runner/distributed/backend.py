@@ -34,32 +34,27 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.runner.backends import CompletionFn, ExecutionBackend
+from repro.runner.cache import ResultCache
 from repro.runner.distributed.queue import (
     DEFAULT_LEASE_TTL,
     DoneRecord,
     QueueJobRecord,
     WorkQueue,
 )
-from repro.runner.distributed.shards import ShardedResultCache
 from repro.runner.distributed.worker import WorkerLoop, make_owner_id
 from repro.runner.job import SimJob
-from repro.runner.status import (
-    JobOutcome,
-    RetryPolicy,
-    SweepError,
-    SweepReport,
-)
+from repro.runner.status import JobOutcome, RetryPolicy
 
 
 class DistributedBackend(ExecutionBackend):
     """Publish jobs to a shared queue; harvest verified outcomes.
 
-    ``shared_dir`` is the sweep's shared directory — the sharded result
-    cache at its root (a flat legacy cache dir is migrated in place on
-    first open) plus the ``queue/`` protocol state.  ``lease_ttl``
-    seconds of missed heartbeats mark a worker dead; the value is fixed
-    in the queue's on-disk META by whoever creates it first, so every
-    participant ages leases identically.
+    ``shared_dir`` is the sweep's shared directory — the flat result
+    cache at its root, the same layout every local sweep writes, plus
+    the ``queue/`` protocol state.  ``lease_ttl`` seconds of missed
+    heartbeats mark a worker dead; the value is fixed in the queue's
+    on-disk META by whoever creates it first, so every participant
+    ages leases identically.
     """
 
     name = "distributed"
@@ -74,13 +69,6 @@ class DistributedBackend(ExecutionBackend):
         self.participate = participate
         self.poll_interval_s = poll_interval_s
 
-    def map_jobs(self, jobs: Sequence[SimJob]) -> List[Any]:
-        outcomes = self.run_outcomes(jobs)
-        failures = [o for o in outcomes if not o.ok]
-        if failures:
-            raise SweepError(SweepReport(name=self.name, outcomes=outcomes))
-        return [o.result for o in outcomes]
-
     def run_outcomes(self, jobs: Sequence[SimJob],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
@@ -89,7 +77,7 @@ class DistributedBackend(ExecutionBackend):
         policy = policy or RetryPolicy()
         if not jobs:
             return []
-        cache = ShardedResultCache(self.shared_dir)
+        cache = ResultCache(self.shared_dir)
         queue = WorkQueue(self.shared_dir / "queue",
                           lease_ttl=self.lease_ttl)
         # Duplicate jobs in one matrix share a key and therefore one
@@ -133,7 +121,7 @@ class DistributedBackend(ExecutionBackend):
     # Harvesting
     # ------------------------------------------------------------------ #
 
-    def _harvest(self, queue: WorkQueue, cache: ShardedResultCache,
+    def _harvest(self, queue: WorkQueue, cache: ResultCache,
                  job_for: Dict[str, SimJob],
                  indices_for: Dict[str, List[int]],
                  unresolved: set,

@@ -4,7 +4,7 @@ A :class:`WorkerLoop` joins the shared directory, claims pending keys
 one at a time under the lease protocol, executes them through the same
 :func:`~repro.runner.execute.run_job_attempt` primitive as every other
 backend (per-attempt SIGALRM deadline, ``REPRO_FAULTS`` injection) and
-publishes results to the sharded cache plus a terminal
+publishes results to the shared result cache plus a terminal
 :class:`~repro.runner.distributed.queue.DoneRecord`.  ``repro worker
 SHARED`` runs one from the shell; the coordinator embeds one (stepped
 job-by-job) so a solo ``--backend distributed`` sweep completes with no
@@ -44,13 +44,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.runner.cache import MAGIC
+from repro.runner.cache import MAGIC, ResultCache
 from repro.runner.distributed.queue import (
     DoneRecord,
     QueueJobRecord,
     WorkQueue,
 )
-from repro.runner.distributed.shards import ShardedResultCache
 from repro.runner.execute import run_job_attempt
 from repro.runner.faults import FaultSpec, active_plan
 from repro.runner.job import SimJob
@@ -144,7 +143,7 @@ class WorkerLoop:
         self.wait_for_queue_s = wait_for_queue_s
         self.summary = WorkerSummary(owner=self.owner)
         self._queue: Optional[WorkQueue] = None
-        self._cache: Optional[ShardedResultCache] = None
+        self._cache: Optional[ResultCache] = None
 
     # ------------------------------------------------------------------ #
     # Lazy protocol state (the queue may not exist yet at construction)
@@ -158,9 +157,9 @@ class WorkerLoop:
         return self._queue
 
     @property
-    def cache(self) -> ShardedResultCache:
+    def cache(self) -> ResultCache:
         if self._cache is None:
-            self._cache = ShardedResultCache(self.shared_dir)
+            self._cache = ResultCache(self.shared_dir)
         return self._cache
 
     def _queue_exists(self) -> bool:
@@ -298,9 +297,7 @@ class WorkerLoop:
         the checksummed read path, so the next reader quarantines it
         and the key re-runs.
         """
-        path = self.cache.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as handle:
+        with open(self.cache.path_for(job), "wb") as handle:
             handle.write(MAGIC + b"\x00" * 32 + b"torn payload")
 
     @staticmethod

@@ -56,6 +56,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from repro.runner.cache import ResultCache
 from repro.runner.execute import run_job_attempt
 from repro.runner.job import SimJob
 from repro.runner.status import RetryPolicy
@@ -147,12 +148,8 @@ class SimService:
                  max_workers: Optional[int] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  execute: Optional[Callable[[SimJob, int], Any]] = None) -> None:
-        from repro.runner.distributed import open_result_cache
         self.retry_policy = retry_policy or RetryPolicy()
-        # Layout deference: a daemon pointed at a distributed sweep's
-        # shared directory serves its sharded entries; a flat cache dir
-        # stays flat (the daemon never upgrades a layout).
-        self.result_cache = (open_result_cache(cache_dir)
+        self.result_cache = (ResultCache(cache_dir)
                              if cache_dir is not None else None)
         self._execute = execute or (
             lambda job, attempt: run_job_attempt(job, attempt))
@@ -376,10 +373,7 @@ class SimService:
                     "misses": self.result_cache.misses,
                     "entries": len(self.result_cache),
                 }
-                from repro.runner.distributed import ShardedResultCache
                 from repro.runner.distributed.queue import WorkQueue
-                if isinstance(self.result_cache, ShardedResultCache):
-                    doc["cache"].update(self.result_cache.layout_info())
                 queue_stats = WorkQueue.stats_for(
                     self.result_cache.directory / "queue")
                 if queue_stats is not None:

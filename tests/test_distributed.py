@@ -6,11 +6,10 @@ exactly-once execution proven by the on-disk ledger, byte-identical
 payloads against a never-distributed serial run, a kill -9'd worker
 whose lease is stolen and whose job alone re-executes, and torn-write
 recovery through the coordinator's checksummed harvest.  Plus the unit
-contracts those scenarios rest on: the sharded cache layout and its
-one-shot flat-directory migration, the lease protocol's claim /
+contracts those scenarios rest on: the lease protocol's claim /
 heartbeat / steal dance, delta-sweep matrix diffs (including the
-randomized partition property), and the pinned job-key hashes proving
-this PR changed the cache *layout* without changing cache *identity*.
+randomized partition property), and the pinned job-key hashes that
+keep cache *identity* fixed.
 """
 
 from __future__ import annotations
@@ -41,19 +40,14 @@ from repro.runner import (
     make_backend,
 )
 from repro.runner.distributed import (
-    CACHE_LAYOUT_VERSION,
     DEFAULT_LEASE_TTL,
-    LAYOUT_MARKER,
     DistributedBackend,
     DoneRecord,
     LeaseRecord,
     QueueJobRecord,
-    ShardedResultCache,
     WorkQueue,
     WorkerSummary,
     make_owner_id,
-    open_result_cache,
-    shard_of,
 )
 from repro.runner.execute import run_job_attempt
 from repro.runner.faults import FAULT_KINDS, FAULTS_ENV, apply_faults
@@ -125,98 +119,6 @@ def test_job_keys_are_pinned_across_the_layout_change():
                           "5d2580e2b9ca6090d4f42fac70496136")
     assert pred.key() == ("3921e1d187b8ca077fa5d2c174fc7bec"
                           "74b754f252a5c4e4462da403db3ef322")
-
-
-# --------------------------------------------------------------------- #
-# Sharded cache layout + migration
-# --------------------------------------------------------------------- #
-
-def test_sharded_cache_round_trips_and_fans_out(tmp_path):
-    jobs = _jobs(16)
-    cache = ShardedResultCache(tmp_path)
-    assert (tmp_path / LAYOUT_MARKER).exists()
-    results = [run_job_attempt(job) for job in jobs]
-    for job, result in zip(jobs, results):
-        cache.put(job, result)
-        path = cache.path_for(job)
-        assert path.parent.name == shard_of(job.key())
-        assert cache.get(job) == result
-    assert len(cache) == 16
-    info = cache.layout_info()
-    assert info["layout"] == CACHE_LAYOUT_VERSION
-    assert 1 <= info["shards"] <= 16
-    assert info["shards"] == cache.shard_count()
-
-
-def test_flat_cache_migrates_in_place_and_keeps_hitting(tmp_path):
-    """The compat round-trip: entries written by the flat layout are
-    moved — bytes untouched — and keep serving reads afterwards."""
-    jobs = _jobs(3)
-    flat = ResultCache(tmp_path)
-    results = [run_job_attempt(job) for job in jobs]
-    for job, result in zip(jobs, results):
-        flat.put(job, result)
-    flat_bytes = {job.key(): flat.path_for(job).read_bytes() for job in jobs}
-
-    sharded = ShardedResultCache(tmp_path)
-    assert (tmp_path / LAYOUT_MARKER).exists()
-    assert not list(tmp_path.glob("*.pkl"))  # root fully evacuated
-    for job, result in zip(jobs, results):
-        assert sharded.path_for(job).read_bytes() == flat_bytes[job.key()]
-        assert sharded.get(job) == result
-    assert sharded.hits == 3 and sharded.quarantined == 0
-    assert len(sharded) == 3
-    # Re-opening an already-migrated directory is a no-op.
-    assert ShardedResultCache(tmp_path).get(jobs[0]) == results[0]
-
-
-def test_open_result_cache_defers_to_the_directory_layout(tmp_path):
-    flat_dir = tmp_path / "flat"
-    flat_dir.mkdir()
-    opened = open_result_cache(flat_dir)
-    assert type(opened) is ResultCache          # never upgrades
-    assert not (flat_dir / LAYOUT_MARKER).exists()
-    ShardedResultCache(tmp_path / "sharded")    # upgrade is explicit
-    assert isinstance(open_result_cache(tmp_path / "sharded"),
-                      ShardedResultCache)
-
-
-def test_sharded_cache_rejects_a_future_layout(tmp_path):
-    (tmp_path / LAYOUT_MARKER).write_text(
-        json.dumps({"cache_layout": CACHE_LAYOUT_VERSION + 1}),
-        encoding="utf-8")
-    with pytest.raises(ValueError, match="layout"):
-        ShardedResultCache(tmp_path)
-
-
-def test_sharded_cache_adopts_straggler_flat_writes(tmp_path):
-    """An old-layout writer publishing into the root *after* migration
-    is found by the read-side fallback and re-homed on first touch."""
-    job = _jobs(1)[0]
-    sharded = ShardedResultCache(tmp_path)
-    result = run_job_attempt(job)
-    ResultCache(tmp_path).put(job, result)      # straggler's flat write
-    flat_path = tmp_path / f"{job.key()}.pkl"
-    assert flat_path.exists()
-    assert sharded.has(job)
-    assert sharded.get(job) == result
-    assert not flat_path.exists()
-    assert sharded.path_for(job).exists()
-
-
-def test_sharded_cache_quarantines_torn_entry_in_its_shard(tmp_path):
-    job = _jobs(1)[0]
-    cache = ShardedResultCache(tmp_path)
-    cache.put(job, run_job_attempt(job))
-    path = cache.path_for(job)
-    whole = path.read_bytes()
-    path.write_bytes(whole[:len(whole) // 2])
-    assert cache.get(job) is None
-    assert cache.quarantined == 1
-    assert path.with_name(path.name + ".corrupt").exists()
-    # The slot heals in place.
-    cache.put(job, run_job_attempt(job))
-    assert cache.get(job) is not None
 
 
 # --------------------------------------------------------------------- #
@@ -433,7 +335,7 @@ def test_solo_distributed_backend_matches_serial_byte_identical(tmp_path):
     jobs = _jobs(4)
     baseline = JobRunner(SerialBackend()).run(jobs)
     runner = JobRunner(backend=DistributedBackend(tmp_path),
-                       result_cache=ShardedResultCache(tmp_path))
+                       result_cache=ResultCache(tmp_path))
     results, report = runner.run_report(jobs)
     assert _results_blob(results) == _results_blob(baseline)
     assert all(o.ok for o in report.outcomes)
@@ -445,7 +347,7 @@ def test_solo_distributed_backend_matches_serial_byte_identical(tmp_path):
     # A fresh runner against the same shared dir is served from cache.
     rerun, rereport = JobRunner(
         backend=DistributedBackend(tmp_path),
-        result_cache=ShardedResultCache(tmp_path)).run_report(jobs)
+        result_cache=ResultCache(tmp_path)).run_report(jobs)
     assert _results_blob(rerun) == _results_blob(baseline)
     assert rereport.cached_count == 4
 
@@ -474,7 +376,7 @@ def test_torn_write_is_quarantined_and_reexecuted(tmp_path):
     assert outcomes[1].attempts == 2            # re-run was a new attempt
     results = [o.result for o in outcomes]
     assert _results_blob(results) == _results_blob(baseline)
-    corrupt = (tmp_path / shard_of(victim) / f"{victim}.pkl.corrupt")
+    corrupt = tmp_path / f"{victim}.pkl.corrupt"
     assert corrupt.exists()                     # the torn entry, impounded
     # The torn publish never executed the simulator, so the ledger shows
     # exactly one *real* execution, at the bumped attempt.
@@ -675,7 +577,7 @@ def test_kill9_worker_is_stolen_and_only_its_job_reruns(tmp_path):
     # Pre-publish the matrix so the victim can start before any
     # coordinator exists; its TTL is fixed here, in the queue META.
     shared = tmp_path / "shared"
-    ShardedResultCache(shared)
+    ResultCache(shared)
     queue = WorkQueue(shared / "queue", lease_ttl=scaled(2.0))
     for job in jobs:
         queue.publish(QueueJobRecord(key=job.key(), attempt=1,
@@ -769,8 +671,7 @@ def test_service_stats_expose_shard_and_lease_counters(tmp_path):
     service = SimService(cache_dir=tmp_path)
     try:
         doc = service.stats()
-        assert doc["cache"]["layout"] == CACHE_LAYOUT_VERSION
-        assert doc["cache"]["shards"] >= 1
+        assert doc["cache"]["entries"] == 2
         dist = doc["distributed"]
         assert dist["published"] == 2 and dist["done"] == 2
         assert dist["closed"] is True

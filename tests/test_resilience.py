@@ -316,21 +316,21 @@ def test_cache_quarantines_wrong_checksum(tmp_path):
     assert cache.quarantined == 1
 
 
-def test_cache_reads_legacy_bare_pickle_entries(tmp_path):
-    job = _jobs(1)[0]
-    cache = ResultCache(tmp_path)
-    result = run_job_attempt(job)
-    cache.path_for(job).write_bytes(pickle.dumps(result))  # pre-checksum
-    assert cache.get(job) == result
-    assert cache.hits == 1 and cache.quarantined == 0
-
-
 def test_cache_quarantines_unpicklable_garbage(tmp_path):
+    """Header-less bytes never serve: neither garbage nor a pre-checksum
+    bare pickle of a real result."""
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
-    cache.path_for(job).write_bytes(b"partial write interrupted")
-    assert cache.get(job) is None
-    assert cache.quarantined == 1
+    path = cache.path_for(job)
+    bare_pickle = pickle.dumps(run_job_attempt(job))
+    for count, raw in enumerate([b"partial write interrupted", bare_pickle],
+                                start=1):
+        path.write_bytes(raw)
+        assert cache.get(job) is None
+        assert cache.quarantined == count
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").read_bytes() == raw
+    assert (cache.hits, cache.misses) == (0, 2)
 
 
 def _put_from_child(directory, job_blob, result_blob):
