@@ -346,7 +346,7 @@ def _sweep_spec(args: argparse.Namespace) -> int:
         jobs = delta.changed
         print(delta.summary(), file=sys.stderr)
     if args.resume:
-        missing = [job for job in jobs if not cache.has(job)]
+        missing = [job for job in jobs if not cache.has(job.key())]
         print(f"resume: {len(jobs) - len(missing)} of {len(jobs)} job(s) "
               f"already checkpointed; executing {len(missing)}",
               file=sys.stderr)

@@ -14,13 +14,15 @@ a sweep axis fails before any simulation runs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, get_type_hints
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.config.schema import (
     ConfigError,
     SerializableConfig,
     _nested_config_type,
     coerce_value,
+    field_names,
+    type_hints,
 )
 
 
@@ -69,9 +71,8 @@ def apply_overrides(config: SerializableConfig,
 
 def _apply_tree(config: SerializableConfig, tree: Mapping[str, Any],
                 prefix: str) -> Any:
-    hints = get_type_hints(type(config))
-    fields = {f.name
-              for f in dataclasses.fields(config)}  # type: ignore[arg-type]
+    hints = type_hints(type(config))
+    fields = field_names(type(config))
     changes: Dict[str, Any] = {}
     for name, value in tree.items():
         dotted = f"{prefix}{name}"

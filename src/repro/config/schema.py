@@ -25,8 +25,10 @@ stale files then fail loudly and stale cache entries stop matching.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Any, Dict, List, Optional, Tuple, Type, TypeVar, Union, get_args, get_origin, get_type_hints
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar, Union, get_args, get_origin, get_type_hints
 
 #: Version of the serialized configuration layout (see module docstring).
 CONFIG_SCHEMA_VERSION = 1
@@ -34,8 +36,30 @@ CONFIG_SCHEMA_VERSION = 1
 C = TypeVar("C", bound="SerializableConfig")
 
 
+#: Types whose values serialize as themselves.  Exact types only:
+#: subclasses (an ``IntEnum``, say) take the general path.
+PRIMITIVE_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 class ConfigError(ValueError):
     """A configuration document does not match the config schema."""
+
+
+@functools.lru_cache(maxsize=None)
+def field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of ``cls`` in declaration order.
+
+    Resolved once per class: ``to_dict`` runs for every job key, and
+    ``dataclasses.fields`` rebuilds its list on every call.
+    """
+    return tuple(field.name
+                 for field in dataclasses.fields(cls))  # type: ignore[arg-type]
+
+
+@functools.lru_cache(maxsize=None)
+def type_hints(cls: type) -> Mapping[str, Any]:
+    """``get_type_hints(cls)``, resolved once per class (read-only)."""
+    return MappingProxyType(get_type_hints(cls))
 
 
 class SerializableConfig:
@@ -46,11 +70,14 @@ class SerializableConfig:
 
         The result is canonical: two configs compare equal iff their
         ``to_dict`` outputs are equal, and ``from_dict`` inverts it
-        exactly — the property the job cache key relies on.
+        exactly — the property the job cache key relies on.  Keys come
+        in field declaration order.
         """
         out: Dict[str, Any] = {}
-        for field in dataclasses.fields(self):  # type: ignore[arg-type]
-            out[field.name] = _value_to_primitive(getattr(self, field.name))
+        for name in field_names(type(self)):
+            value = getattr(self, name)
+            out[name] = (value if type(value) in PRIMITIVE_TYPES
+                         else _value_to_primitive(value))
         return out
 
     @classmethod
@@ -66,7 +93,7 @@ class SerializableConfig:
         if not isinstance(data, dict):
             raise ConfigError(
                 f"{where}: expected a table/object, got {type(data).__name__}")
-        hints = get_type_hints(cls)
+        hints = type_hints(cls)
         fields = {f.name: f
                   for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
         unknown = sorted(set(data) - set(fields))
@@ -182,11 +209,11 @@ def config_field_paths(cls: Type[SerializableConfig],
     Nested configs contribute their fields under ``<field>.``; used by
     the override layer for validation and by ``--help``-style listings.
     """
-    hints = get_type_hints(cls)
+    hints = type_hints(cls)
     paths: List[Tuple[str, Any]] = []
-    for field in dataclasses.fields(cls):  # type: ignore[arg-type]
-        annotation = hints[field.name]
-        dotted = f"{prefix}{field.name}"
+    for name in field_names(cls):
+        annotation = hints[name]
+        dotted = f"{prefix}{name}"
         nested = _nested_config_type(annotation)
         if nested is not None:
             paths.extend(config_field_paths(nested, prefix=f"{dotted}."))

@@ -16,7 +16,10 @@ figures (rather than one per sweep), so cross-figure duplicate jobs
 (e.g. the Pythia baseline suite, which a dozen figures share) are
 computed once, and a re-run against a warm cache directory executes no
 simulation at all — the cache hit/miss counters in the returned
-:class:`ReportSummary` prove it.
+:class:`ReportSummary` prove it.  The cache is addressed by key, and
+each sweep's runner keys every job once and runs each distinct key
+once, so a warm re-run costs one key and one cache read per job, plus
+the rendering.
 """
 
 from __future__ import annotations

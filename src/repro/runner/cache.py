@@ -1,12 +1,15 @@
 """On-disk memoisation of simulation results.
 
-Results are keyed by :meth:`SimJob.key` — a content hash of the full
-declarative job spec — so a cached entry is valid exactly as long as
-the job it came from is byte-for-byte the same sweep point.  The
-layout is flat: the entry for a job lives at ``<dir>/<key>.pkl``.
-Every cache directory — a local sweep's, ``repro report``'s, a
-distributed sweep's shared directory (next to its ``queue/``), the
-service daemon's — is opened the same way, as ``ResultCache(dir)``.
+The cache is addressed by key: ``get``, ``put``, ``has`` and
+``path_for`` take a job's :meth:`~repro.runner.job.SimJob.key` — a
+content hash of the full declarative job spec — so a cached entry is
+valid exactly as long as the job it came from is byte-for-byte the
+same sweep point.  Callers key each job once and pass the string
+along; the cache never hashes a job.  The layout is flat: the entry
+for a key lives at ``<dir>/<key>.pkl``.  Every cache directory — a
+local sweep's, ``repro report``'s, a distributed sweep's shared
+directory (next to its ``queue/``), the service daemon's — is opened
+the same way, as ``ResultCache(dir)``.
 
 The store is built for crash-resume and concurrent writers:
 
@@ -41,8 +44,6 @@ import time
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.runner.job import SimJob
-
 #: Leads every entry; an entry without it is never served.
 MAGIC = b"repro-result-cache:v1\n"
 
@@ -55,7 +56,7 @@ STALE_TMP_SECONDS = 3600.0
 
 
 class ResultCache:
-    """A flat directory of checksummed pickled results keyed by job hash."""
+    """A flat directory of checksummed pickled results keyed by job key."""
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
@@ -66,17 +67,18 @@ class ResultCache:
         self.quarantined = 0
         self._sweep_stale_tmp()
 
-    def path_for(self, job: SimJob) -> Path:
-        return self.directory / f"{job.key()}.pkl"
+    def path_for(self, key: str) -> Path:
+        return self.directory / f"{key}.pkl"
 
-    def has(self, job: SimJob) -> bool:
-        """Whether an entry exists for ``job`` (existence only — the
+    def has(self, key: str) -> bool:
+        """Whether an entry exists for ``key`` (existence only — the
         entry may still fail checksum validation on :meth:`get`).
         Touches no counters; used for resume previews."""
-        return self.path_for(job).exists()
+        return self.path_for(key).exists()
 
-    def get(self, job: SimJob) -> Optional[Any]:
-        path = self.path_for(job)
+    def get(self, key: str) -> Optional[Any]:
+        """The result stored under ``key``, or None on a miss."""
+        path = self.path_for(key)
         try:
             raw = path.read_bytes()
         except OSError:
@@ -99,8 +101,8 @@ class ResultCache:
         self.misses += 1
         return None
 
-    def put(self, job: SimJob, result: Any) -> None:
-        """Atomically publish ``result`` as ``job``'s entry.
+    def put(self, key: str, result: Any) -> None:
+        """Atomically publish ``result`` as ``key``'s entry.
 
         The entry is staged in a ``mkstemp`` temp file in the cache
         directory (the same filesystem, so ``os.replace`` is atomic)
@@ -113,7 +115,7 @@ class ResultCache:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
-            os.replace(tmp_name, self.path_for(job))
+            os.replace(tmp_name, self.path_for(key))
         except BaseException:
             try:
                 os.unlink(tmp_name)

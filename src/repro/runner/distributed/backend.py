@@ -99,8 +99,8 @@ class DistributedBackend(ExecutionBackend):
         unresolved = set(job_for)
         try:
             while unresolved:
-                self._harvest(queue, cache, job_for, indices_for,
-                              unresolved, jobs, outcomes, on_complete)
+                self._harvest(queue, cache, indices_for, unresolved, jobs,
+                              outcomes, on_complete)
                 if not unresolved:
                     break
                 worked = inline.step_once() if self.participate else False
@@ -122,7 +122,6 @@ class DistributedBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
 
     def _harvest(self, queue: WorkQueue, cache: ResultCache,
-                 job_for: Dict[str, SimJob],
                  indices_for: Dict[str, List[int]],
                  unresolved: set,
                  jobs: List[SimJob],
@@ -132,7 +131,7 @@ class DistributedBackend(ExecutionBackend):
             if key not in unresolved:
                 continue
             if record.status == "ok":
-                result = cache.get(job_for[key])
+                result = cache.get(key)
                 if result is None:
                     # The done record promised a payload the checksummed
                     # read cannot serve — the get() just quarantined the

@@ -8,7 +8,10 @@ publishes results to the shared result cache plus a terminal
 :class:`~repro.runner.distributed.queue.DoneRecord`.  ``repro worker
 SHARED`` runs one from the shell; the coordinator embeds one (stepped
 job-by-job) so a solo ``--backend distributed`` sweep completes with no
-external workers at all.
+external workers at all.  A worker keys each claimed job once and
+fails it if that key differs from the coordinator's: a build with
+other schema versions must not file results under the coordinator's
+key.
 
 Liveness while executing comes from a daemon heartbeat thread touching
 the claim's mtime every ``TTL/4``; the job itself stays on the main
@@ -219,6 +222,19 @@ class WorkerLoop:
     def _run_claim(self, record: QueueJobRecord) -> None:
         job = SimJob.from_dict(record.job)
         key = record.key
+        mine = job.key()
+        if mine != key:
+            # This build keys the job differently from the coordinator
+            # (another job, config or trace-format schema version, or a
+            # trace file rewritten since the sweep was keyed).  Filing
+            # its result under either key would alias, so fail the job.
+            self.queue.complete(DoneRecord(
+                key=key, status="failed", attempts=0, worker=self.owner,
+                error=f"key mismatch: this worker keys the job as {mine}"),
+                owner=self.owner)
+            self.summary.failed += 1
+            self.summary.keys.append(key)
+            return
         fault = self._protocol_fault(key)
         if (fault is not None and fault.kind == "lease-steal"
                 and record.attempt < fault.succeed_on):
@@ -227,7 +243,7 @@ class WorkerLoop:
             # attempt past the gate.
             self.summary.abandoned += 1
             return
-        cached = self.cache.get(job)
+        cached = self.cache.get(key)
         if cached is not None:
             self.queue.complete(DoneRecord(key=key, status="ok", attempts=0,
                                            worker=self.owner, cached=True),
@@ -240,7 +256,7 @@ class WorkerLoop:
         with _Heartbeat(self.queue, key, self.owner):
             if (fault is not None and fault.kind == "torn-write"
                     and record.attempt < fault.succeed_on):
-                self._publish_torn(job)
+                self._publish_torn(key)
                 self.queue.complete(
                     DoneRecord(key=key, status="ok", attempts=record.attempt,
                                worker=self.owner), owner=self.owner)
@@ -277,7 +293,7 @@ class WorkerLoop:
             except Exception as exc:  # noqa: BLE001 — isolation is the point
                 kind, error = "failed", f"{type(exc).__name__}: {exc}"
             else:
-                self.cache.put(job, result)
+                self.cache.put(key, result)
                 return DoneRecord(key=key, status="ok", attempts=attempt,
                                   duration_s=time.perf_counter() - started,
                                   worker=self.owner)
@@ -290,14 +306,14 @@ class WorkerLoop:
                 time.sleep(delay)
             attempt += 1
 
-    def _publish_torn(self, job: SimJob) -> None:
+    def _publish_torn(self, key: str) -> None:
         """Leave exactly what a mid-write crash leaves: a bad entry.
 
         Valid magic, zeroed digest, truncated payload — unservable by
         the checksummed read path, so the next reader quarantines it
         and the key re-runs.
         """
-        with open(self.cache.path_for(job), "wb") as handle:
+        with open(self.cache.path_for(key), "wb") as handle:
             handle.write(MAGIC + b"\x00" * 32 + b"torn payload")
 
     @staticmethod

@@ -16,7 +16,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config.schema import CONFIG_SCHEMA_VERSION, SerializableConfig
+from repro.config.schema import (
+    CONFIG_SCHEMA_VERSION,
+    PRIMITIVE_TYPES,
+    SerializableConfig,
+    field_names,
+)
 from repro.dram.config import DRAMConfig
 from repro.sim.config import SystemConfig
 from repro.workloads.formats.base import TRACE_FORMAT_VERSION
@@ -212,6 +217,8 @@ def _canonical(value: Any) -> Any:
     identity derives from config *content* under the config schema: a
     config serialized to disk and reloaded produces byte-identical keys.
     """
+    if type(value) in PRIMITIVE_TYPES:
+        return value
     if isinstance(value, SerializableConfig):
         serialized = value.to_dict()
         if isinstance(value, SystemConfig):
@@ -221,8 +228,8 @@ def _canonical(value: Any) -> Any:
             serialized.pop("engine", None)
         return serialized
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _canonical(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+        return {name: _canonical(getattr(value, name))
+                for name in field_names(type(value))}
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):

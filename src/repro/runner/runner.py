@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+import dataclasses
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.backends import ExecutionBackend, SerialBackend
 from repro.runner.cache import ResultCache
@@ -16,12 +17,16 @@ ON_ERROR_MODES = ("raise", "skip")
 class JobRunner:
     """Executes job lists, consulting the result cache before the backend.
 
-    Cache hits never reach the backend; misses go to the backend as one
-    batch (so a process pool sees the whole remaining sweep at once) —
-    but each result is **checkpointed to the cache the moment its job
-    completes**, not when the batch returns.  Kill the process mid-sweep
-    and every finished job survives: re-running the same sweep executes
-    only the missing jobs.  Results always come back in job order.
+    Each job is keyed once per batch; the key serves its cache lookup
+    and, on a hit, its outcome.  Jobs that share a key are looked up
+    and executed once, and every index holding the key gets the
+    outcome.  Cache hits never reach the backend; the distinct misses
+    go to the backend as one batch (so a process pool sees the whole
+    remaining sweep at once) — but each result is **checkpointed to the
+    cache, under its outcome's key, the moment its job completes**, not
+    when the batch returns.  Kill the process mid-sweep and every
+    finished job survives: re-running the same sweep executes only the
+    missing jobs.  Results always come back in job order.
 
     ``retry_policy`` sets the per-job attempt budget / backoff / timeout
     the backend enforces; ``on_error`` decides what a sweep with failed
@@ -54,39 +59,45 @@ class JobRunner:
 
         The report accounts for every job: cache hits appear as ``ok``
         outcomes with ``cached=True`` and zero attempts, executed jobs
-        carry their attempt counts and durations.
+        carry their attempt counts and durations.  A job's key captures
+        a trace file's identity (size and mtime) at the moment the
+        batch is keyed.
         """
         jobs = list(jobs)
         results: List[Any] = [None] * len(jobs)
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-        pending: List[SimJob] = []
-        pending_indices: List[int] = []
+        indices_for: Dict[str, List[int]] = {}
         for index, job in enumerate(jobs):
-            cached = (self.result_cache.get(job)
+            indices_for.setdefault(job.key(), []).append(index)
+        pending_keys: List[str] = []
+        for key, indices in indices_for.items():
+            cached = (self.result_cache.get(key)
                       if self.result_cache is not None else None)
-            if cached is not None:
+            if cached is None:
+                pending_keys.append(key)
+                continue
+            for index in indices:
                 results[index] = cached
                 outcomes[index] = JobOutcome(
-                    index=index, key=job.key(), status="ok", attempts=0,
+                    index=index, key=key, status="ok", attempts=0,
                     cached=True, result=cached)
-            else:
-                pending.append(job)
-                pending_indices.append(index)
 
-        if pending:
+        if pending_keys:
             def checkpoint(job: SimJob, outcome: JobOutcome) -> None:
                 # Fires in the parent the moment one job finishes — the
                 # incremental durability point a mid-sweep crash rewinds
                 # to, never further.
                 if outcome.ok and self.result_cache is not None:
-                    self.result_cache.put(job, outcome.result)
+                    self.result_cache.put(outcome.key, outcome.result)
 
+            pending = [jobs[indices_for[key][0]] for key in pending_keys]
             computed = self.backend.run_outcomes(pending, self.retry_policy,
                                                  on_complete=checkpoint)
-            for global_index, outcome in zip(pending_indices, computed):
-                outcome.index = global_index  # backend indexed the sub-batch
-                outcomes[global_index] = outcome
-                results[global_index] = outcome.result
+            for key, outcome in zip(pending_keys, computed):
+                # The backend indexed the sub-batch; re-index per job.
+                for index in indices_for[key]:
+                    outcomes[index] = dataclasses.replace(outcome, index=index)
+                    results[index] = outcome.result
 
         report = SweepReport(name=name, outcomes=list(outcomes))
         if report.failures and self.on_error == "raise":

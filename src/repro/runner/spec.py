@@ -195,7 +195,7 @@ class ExperimentSpec:
         corrupt entry still counts as present here and is quarantined
         and re-run when the runner reads it.
         """
-        return [job for job in self.jobs() if not cache.has(job)]
+        return [job for job in self.jobs() if not cache.has(job.key())]
 
     def delta(self, since: "ExperimentSpec") -> Any:
         """Diff this spec's matrix against ``since``'s by content hash.

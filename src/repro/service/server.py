@@ -192,7 +192,7 @@ class SimService:
                     self.attached += 1
                     continue
                 entry = _JobEntry(key, job)
-                cached = (self.result_cache.get(job)
+                cached = (self.result_cache.get(key)
                           if self.result_cache is not None else None)
                 if cached is not None:
                     self.cache_hits += 1
@@ -246,7 +246,7 @@ class SimService:
         # nothing, a crash before it re-executes this one job.
         if self.result_cache is not None:
             try:
-                self.result_cache.put(entry.job, result)
+                self.result_cache.put(entry.key, result)
             except OSError:
                 pass  # serving beats checkpointing; the entry stays hot
         with self._lock:

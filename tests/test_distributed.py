@@ -14,6 +14,7 @@ keep cache *identity* fixed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -26,6 +27,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import CONFIG_SCHEMA_VERSION, apply_overrides
+from repro.dram.config import DRAMConfig
+from repro.offchip.registry import predictor_registry
+from repro.prefetchers.registry import prefetcher_registry
 from repro.runner import (
     ExperimentSpec,
     FaultPlan,
@@ -45,6 +50,7 @@ from repro.runner.distributed import (
     DoneRecord,
     LeaseRecord,
     QueueJobRecord,
+    WorkerLoop,
     WorkQueue,
     WorkerSummary,
     make_owner_id,
@@ -97,13 +103,22 @@ def _ledger_key_counts(queue):
 
 
 # --------------------------------------------------------------------- #
-# Job identity is pinned: sharding must not move cache keys
+# Job identity is pinned: no refactor may move cache keys
 # --------------------------------------------------------------------- #
 
+#: Nested dotted-path overrides of one pinned job (and of the to_dict
+#: reference check below).
+_NESTED_OVERRIDES = {"core.rob_size": 256,
+                     "hierarchy.llc.size_bytes": 6 * 1024 * 1024,
+                     "dram.transfer_rate_mtps": 800}
+
+
 def test_job_keys_are_pinned_across_the_layout_change():
-    """The sharded layout re-homes entries *by* key; the keys themselves
-    must not move, or every pre-sharding cache entry silently misses.
-    These digests were captured before the sharded layout landed."""
+    """The cache files every entry under its job's key, so a key must
+    not move when the cache layout or the config canonicalisation
+    changes, or every existing cache entry silently misses.  The first
+    three digests predate the cache's layout changes; the rest were
+    captured before ``to_dict`` gained its per-class fast path."""
     single = SimJob(config=SystemConfig(), workload="ligra.pagerank",
                     num_accesses=1000)
     multi = SimJob(config=SystemConfig(),
@@ -119,6 +134,69 @@ def test_job_keys_are_pinned_across_the_layout_change():
                           "5d2580e2b9ca6090d4f42fac70496136")
     assert pred.key() == ("3921e1d187b8ca077fa5d2c174fc7bec"
                           "74b754f252a5c4e4462da403db3ef322")
+    dram = SimJob(config=SystemConfig.baseline("spp"),
+                  workload="spec06.mcf_chase", num_accesses=1500,
+                  dram=DRAMConfig(channels=2, transfer_rate_mtps=1600))
+    nested = SimJob(config=apply_overrides(
+                        SystemConfig.with_hermes("popet", "pythia"),
+                        _NESTED_OVERRIDES),
+                    workload="parsec.canneal", num_accesses=1200)
+    # Keys never build the predictor: the dict option is there to pin
+    # how nested options canonicalise (its keys are out of order).
+    options = SimJob(config=SystemConfig.with_hermes("popet"),
+                     workload="ligra.bfs", num_accesses=900,
+                     predictor_spec=PredictorSpec(
+                         "popet", {"features": ["pc_xor_cl_offset",
+                                                "pc_first_access"],
+                                   "activation_threshold": -10,
+                                   "extra": {"z": [3, 2.5], "a": None}}))
+    mix = SimJob(config=SystemConfig.with_hermes("popet", "pythia"),
+                 workload=("spec17.mcf_chase", "ligra.bfs", "parsec.canneal",
+                           "cvp.server_int"),
+                 num_accesses=600, mode="multicore",
+                 dram=SystemConfig.eight_core_dram())
+    assert dram.key() == ("43d70853f9538d26c6f8c66c2c4eee6e"
+                          "0496f27e13b99e63b4c8ab5ad314fe46")
+    assert nested.key() == ("6cdc66198881ce16065a39118a42312d"
+                            "765ec565986d41e73f7a3232a39e1a34")
+    assert options.key() == ("da04610d605c41b6c1a69dc286fe227b"
+                             "f691f8f385070c380b4690651f18582f")
+    assert mix.key() == ("f827a505e211ba4bd0610836794e00aa"
+                         "2555811a0c90191e682015c23e8c39ca")
+
+
+def _fields_walk(value):
+    """``to_dict``'s reference: a plain ``dataclasses.fields`` walk."""
+    if dataclasses.is_dataclass(value):
+        return {field.name: _fields_walk(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_fields_walk(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _fields_walk(item) for key, item in value.items()}
+    return value
+
+
+def test_config_to_dict_matches_a_plain_fields_walk():
+    """Every named SystemConfig, and the overridden ones the pinned keys
+    use, serialise exactly as a ``dataclasses.fields`` walk: the same
+    values, the same types and the same key order."""
+    configs = [SystemConfig(), SystemConfig.no_prefetching()]
+    configs += [SystemConfig.baseline(name)
+                for name in prefetcher_registry.names()]
+    configs += [SystemConfig.with_hermes(predictor, prefetcher, optimistic)
+                for predictor in predictor_registry.names()
+                for prefetcher in ("none", "pythia")
+                for optimistic in (True, False)]
+    configs += [apply_overrides(SystemConfig.with_hermes("popet", "pythia"),
+                                _NESTED_OVERRIDES),
+                DRAMConfig(channels=2, transfer_rate_mtps=1600),
+                SystemConfig.eight_core_dram()]
+    for config in configs:
+        # json.dumps keeps insertion order and tells 4 from 4.0 and
+        # True from 1, so equal texts mean equal keys, order and types.
+        assert (json.dumps(config.to_dict())
+                == json.dumps(_fields_walk(config))), config
 
 
 # --------------------------------------------------------------------- #
@@ -360,6 +438,25 @@ def test_duplicate_jobs_share_one_execution(tmp_path):
     assert outcomes[0].key == outcomes[1].key
     queue = WorkQueue(tmp_path / "queue")
     assert _ledger_key_counts(queue) == {job.key(): 1}
+
+
+def test_worker_fails_a_job_it_keys_differently(tmp_path, monkeypatch):
+    """A worker whose build keys a claimed job differently from the
+    coordinator (here: another config schema version) fails the job
+    instead of filing a result under the coordinator's key."""
+    job = _jobs(1)[0]
+    queue = WorkQueue(tmp_path / "queue")
+    record = _queued_job(queue, job)
+    monkeypatch.setattr("repro.runner.job.CONFIG_SCHEMA_VERSION",
+                        CONFIG_SCHEMA_VERSION + 1)
+    worker = WorkerLoop(tmp_path, owner=make_owner_id("other-build"))
+    assert worker.step_once()
+    done = queue.done_record(record.key)
+    assert done.status == "failed" and done.attempts == 0
+    assert f"keys the job as {job.key()}" in done.error
+    assert (worker.summary.failed, worker.summary.executed) == (1, 0)
+    assert queue.ledger_entries() == []     # the simulator never ran
+    assert len(ResultCache(tmp_path)) == 0  # nothing filed under any key
 
 
 def test_torn_write_is_quarantined_and_reexecuted(tmp_path):

@@ -246,7 +246,7 @@ def test_pool_survives_worker_death_and_resume_matches_baseline(tmp_path):
     baseline = JobRunner(SerialBackend()).run(jobs)
     cache_dir = tmp_path / "cache"
     cache = ResultCache(cache_dir)
-    die_path = cache.path_for(jobs[2])  # crash mid-write of its own entry
+    die_path = cache.path_for(jobs[2].key())  # crash mid-write of its own entry
     plan = FaultPlan(faults={
         jobs[2].key(): FaultSpec(kind="die", corrupt_path=str(die_path)),
         jobs[4].key(): FaultSpec(kind="flaky", succeed_on=2),
@@ -291,28 +291,28 @@ def test_cache_quarantines_truncated_entry(tmp_path):
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
     result = run_job_attempt(job)
-    cache.put(job, result)
-    path = cache.path_for(job)
+    cache.put(job.key(), result)
+    path = cache.path_for(job.key())
     whole = path.read_bytes()
     path.write_bytes(whole[:len(whole) // 2])  # writer died mid-flight
-    assert cache.get(job) is None
+    assert cache.get(job.key()) is None
     assert cache.quarantined == 1
     assert not path.exists()
     assert path.with_name(path.name + ".corrupt").exists()
     # The slot heals: a fresh put serves reads again.
-    cache.put(job, result)
-    assert cache.get(job) == result
+    cache.put(job.key(), result)
+    assert cache.get(job.key()) == result
 
 
 def test_cache_quarantines_wrong_checksum(tmp_path):
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
-    cache.put(job, run_job_attempt(job))
-    path = cache.path_for(job)
+    cache.put(job.key(), run_job_attempt(job))
+    path = cache.path_for(job.key())
     raw = bytearray(path.read_bytes())
     raw[-1] ^= 0xFF  # flip one payload bit: checksum must catch it
     path.write_bytes(bytes(raw))
-    assert cache.get(job) is None
+    assert cache.get(job.key()) is None
     assert cache.quarantined == 1
 
 
@@ -321,12 +321,12 @@ def test_cache_quarantines_unpicklable_garbage(tmp_path):
     bare pickle of a real result."""
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
-    path = cache.path_for(job)
+    path = cache.path_for(job.key())
     bare_pickle = pickle.dumps(run_job_attempt(job))
     for count, raw in enumerate([b"partial write interrupted", bare_pickle],
                                 start=1):
         path.write_bytes(raw)
-        assert cache.get(job) is None
+        assert cache.get(job.key()) is None
         assert cache.quarantined == count
         assert not path.exists()
         assert path.with_name(path.name + ".corrupt").read_bytes() == raw
@@ -335,7 +335,7 @@ def test_cache_quarantines_unpicklable_garbage(tmp_path):
 
 def _put_from_child(directory, job_blob, result_blob):
     cache = ResultCache(directory)
-    cache.put(pickle.loads(job_blob), pickle.loads(result_blob))
+    cache.put(pickle.loads(job_blob).key(), pickle.loads(result_blob))
 
 
 def test_cache_concurrent_put_of_same_key_is_safe(tmp_path):
@@ -350,7 +350,7 @@ def test_cache_concurrent_put_of_same_key_is_safe(tmp_path):
         proc.join(timeout=scaled(60.0))
         assert proc.exitcode == 0
     cache = ResultCache(tmp_path)
-    assert cache.get(job) == result      # whole, checksum-valid entry
+    assert cache.get(job.key()) == result      # whole, checksum-valid entry
     assert len(cache) == 1
     assert not list(Path(tmp_path).glob("*.tmp"))  # no staging leftovers
 
@@ -358,7 +358,7 @@ def test_cache_concurrent_put_of_same_key_is_safe(tmp_path):
 def test_cache_clear_removes_tmp_and_corrupt_files(tmp_path):
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
-    cache.put(job, run_job_attempt(job))
+    cache.put(job.key(), run_job_attempt(job))
     (tmp_path / "orphan.tmp").write_bytes(b"x")
     (tmp_path / "dead.pkl.corrupt").write_bytes(b"y")
     cache.clear()
@@ -381,8 +381,8 @@ def test_cache_init_sweeps_only_stale_tmp_files(tmp_path):
 def test_cache_entry_format_is_checksummed(tmp_path):
     job = _jobs(1)[0]
     cache = ResultCache(tmp_path)
-    cache.put(job, run_job_attempt(job))
-    assert cache.path_for(job).read_bytes().startswith(MAGIC)
+    cache.put(job.key(), run_job_attempt(job))
+    assert cache.path_for(job.key()).read_bytes().startswith(MAGIC)
 
 
 # --------------------------------------------------------------------- #

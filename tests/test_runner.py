@@ -10,6 +10,7 @@ from repro.offchip.registry import predictor_registry
 from repro.prefetchers.registry import prefetcher_registry
 from repro.registry import Registry
 from repro.runner import (
+    ExecutionBackend,
     JobRunner,
     PredictorSpec,
     ProcessPoolBackend,
@@ -133,13 +134,16 @@ def test_build_suite_hits_trace_cache():
     assert trace_cache().hits >= hits_before + len(first)
 
 
-class _CountingBackend(SerialBackend):
-    def __init__(self):
+class _CountingBackend(ExecutionBackend):
+    """Counts the jobs handed to a wrapped backend (serial by default)."""
+
+    def __init__(self, inner=None):
+        self.inner = inner or SerialBackend()
         self.executed = 0
 
     def run_outcomes(self, jobs, policy=None, on_complete=None):
         self.executed += len(jobs)
-        return super().run_outcomes(jobs, policy, on_complete)
+        return self.inner.run_outcomes(jobs, policy, on_complete)
 
 
 def test_result_cache_short_circuits_backend(tmp_path):
@@ -153,6 +157,42 @@ def test_result_cache_short_circuits_backend(tmp_path):
     assert backend.executed == 2  # all hits, backend untouched
     assert first == second
     assert len(runner.result_cache) == 2
+
+    # A batch that repeats a job executes it once, on either local
+    # backend, and every index still gets its result and outcome.
+    a, b = jobs
+    for name, inner in (("serial", SerialBackend()),
+                        ("pool", ProcessPoolBackend(max_workers=2))):
+        backend = _CountingBackend(inner)
+        runner = JobRunner(backend=backend,
+                           result_cache=ResultCache(tmp_path / name))
+        results, report = runner.run_report([a, b, a])
+        assert backend.executed == 2
+        assert [result.workload for result in results] == [
+            a.workload, b.workload, a.workload]
+        assert results == [first[0], first[1], first[0]]
+        assert [(o.index, o.key) for o in report.outcomes] == [
+            (0, a.key()), (1, b.key()), (2, a.key())]
+        assert len(runner.result_cache) == 2
+
+
+def test_warm_run_report_keys_each_job_once(tmp_path, monkeypatch):
+    jobs = _sweep_jobs()[:3]
+    jobs.append(jobs[0])
+    runner = JobRunner(result_cache=ResultCache(tmp_path))
+    cold = runner.run(jobs)
+    calls = []
+    key = SimJob.key
+
+    def counted_key(job):
+        calls.append(job)
+        return key(job)
+
+    monkeypatch.setattr(SimJob, "key", counted_key)
+    results, report = runner.run_report(jobs)
+    assert len(calls) == len(jobs)
+    assert all(outcome.cached for outcome in report.outcomes)
+    assert results == cold
 
 
 # --------------------------------------------------------------------- #

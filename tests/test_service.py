@@ -181,7 +181,7 @@ def test_followers_attach_to_inflight_job_and_share_its_payload(tiny_result):
 def test_cache_hit_completes_submission_without_executing(tmp_path,
                                                           tiny_result):
     job = _job("warm")
-    ResultCache(tmp_path).put(job, tiny_result)
+    ResultCache(tmp_path).put(job.key(), tiny_result)
     service = SimService(cache_dir=tmp_path,
                          execute=lambda j, a: pytest.fail(
                              "cache hit must not execute"))
@@ -259,7 +259,7 @@ def test_hung_job_times_out_and_late_result_is_discarded(tmp_path,
         _spin_until(lambda: service.executed == 1,
                     message="late execution return")
         assert service.job_status(key)["status"] == "timeout"
-        assert ResultCache(tmp_path).get(job) is None
+        assert ResultCache(tmp_path).get(job.key()) is None
         assert service.wait_for([key], timeout=scaled(5.0))
     finally:
         release.set()
