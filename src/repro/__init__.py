@@ -19,12 +19,13 @@ Quickstart::
 
 The same system is scriptable from the shell through the unified CLI
 (``python -m repro``, console script ``repro``): ``run`` for single
-simulations, ``sweep`` for job matrices and paper figures, ``trace``
-for generating/converting/inspecting trace files in the interchange
-formats of :mod:`repro.workloads.formats`, and ``bench`` for the
-:mod:`repro.perf` harness.  External traces stream through
-:func:`simulate_stream` under bounded memory regardless of length.
-See README.md for a tour.
+simulations, ``sweep`` for job matrices and paper figures, ``report``
+for the paper's figures as artifacts, and ``trace`` for
+generating/converting/inspecting trace files in the interchange
+formats of :mod:`repro.workloads.formats`.  External traces stream
+through :func:`simulate_stream` under bounded memory regardless of
+length.  See README.md for a tour, and ``perfbench/README.md`` for the
+benchmark that measures speed.
 """
 
 from repro.analysis import geomean, geomean_speedup, speedup_by_category

@@ -12,13 +12,12 @@ Subcommands (each with ``--help``):
 ``trace``
     Generate, convert, and inspect trace files in the registered
     interchange formats (``csv``, ``jsonl``, ``bin``; gzip-capable).
-``bench``
-    The :mod:`repro.perf` throughput harness (regression gate included).
 
 Every experiment and figure in EXPERIMENTS.md is reproducible from the
-shell through these four subcommands; the same functionality is
-available programmatically via :mod:`repro.experiments` and
-:mod:`repro.runner`.
+shell through these subcommands; the same functionality is available
+programmatically via :mod:`repro.experiments` and :mod:`repro.runner`.
+Speed is measured by the repository benchmark, ``perfbench/`` (see
+``perfbench/README.md``).
 """
 
 from repro.cli.main import main

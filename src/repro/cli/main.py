@@ -574,19 +574,6 @@ def cmd_trace_inspect(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# repro bench
-# ---------------------------------------------------------------------- #
-
-def cmd_bench(forwarded: Sequence[str]) -> int:
-    """Delegate to the repro.perf harness CLI (``repro bench --help``)."""
-    from repro.perf.__main__ import main as perf_main
-    forwarded = list(forwarded)
-    if forwarded and forwarded[0] == "--":
-        forwarded = forwarded[1:]
-    return perf_main(forwarded)
-
-
-# ---------------------------------------------------------------------- #
 # repro lint
 # ---------------------------------------------------------------------- #
 
@@ -708,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Hermes reproduction: simulations, sweeps, traces and "
-                    "benchmarks from the shell")
+                    "reports from the shell")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     # ---- run ---------------------------------------------------------- #
@@ -1041,15 +1028,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_lint_arguments(lint)
     lint.set_defaults(func=cmd_lint)
 
-    # ---- bench -------------------------------------------------------- #
-    # Registered for the top-level help listing only; `main` intercepts
-    # `bench` before argparse so every following argument (including
-    # option-like ones such as --compare) is forwarded verbatim.
-    subparsers.add_parser(
-        "bench", add_help=False,
-        help="throughput benchmark harness (forwards all following "
-             "arguments to python -m repro.perf)")
-
     return parser
 
 
@@ -1100,11 +1078,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point (console script ``repro`` / ``python -m repro``)."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["bench"]:
-        # Forward everything after `bench` untouched: argparse REMAINDER
-        # cannot capture option-like first arguments (`bench --tag X`).
-        return cmd_bench(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     # Only these two KeyError subclasses carry user-facing messages

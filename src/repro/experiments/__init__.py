@@ -16,7 +16,6 @@ DESIGN.md for the architecture.
 
 from repro.experiments.common import (
     ExperimentSetup,
-    run_config_over_suite,
     run_matrix,
     run_suite,
 )
@@ -54,7 +53,6 @@ from repro.experiments.storage import run_table3_storage, run_table6_storage
 
 __all__ = [
     "ExperimentSetup",
-    "run_config_over_suite",
     "run_matrix",
     "run_suite",
     "run_fig02_offchip_loads",

@@ -27,9 +27,7 @@ from repro.runner import (
 )
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import simulate_trace
-from repro.workloads.suite import CATEGORIES, make_trace, select_workload_names
-from repro.workloads.trace import Trace
+from repro.workloads.suite import CATEGORIES, select_workload_names
 
 #: A matrix entry: a configuration, optionally paired with a predictor
 #: recipe for experiments that inject custom-feature POPET variants.
@@ -74,17 +72,6 @@ class ExperimentSetup:
         """
         return select_workload_names(categories=self.categories,
                                      per_category=self.per_category)
-
-    def build_suite(self) -> List[Trace]:
-        """Generate the evaluation workload traces for this setup.
-
-        Derived directly from :meth:`workload_names` (so the two can
-        never drift) and served from the process-wide trace cache:
-        repeated calls return the same trace objects without
-        regeneration.
-        """
-        return [make_trace(name, self.num_accesses)
-                for name in self.workload_names()]
 
     def make_backend(self) -> ExecutionBackend:
         if self.parallel:
@@ -144,19 +131,3 @@ def run_matrix(setup: ExperimentSetup,
     results = setup.runner().run_sweep(sweep)
     return {label: results[start:end] for label, (start, end) in spans.items()}
 
-
-def run_config_over_suite(config: SystemConfig,
-                          traces: Sequence[Trace]) -> List[SimulationResult]:
-    """Run every trace through (a fresh instance of) one configuration.
-
-    Legacy serial helper for callers holding explicit trace objects;
-    the experiment runners go through :func:`run_matrix` /
-    :func:`run_suite` so backends and caches apply.
-    """
-    return [simulate_trace(config, trace) for trace in traces]
-
-
-def results_by_label(configs: Sequence[SystemConfig],
-                     traces: Sequence[Trace]) -> Dict[str, List[SimulationResult]]:
-    """Run several configurations over the same traces, keyed by config label."""
-    return {config.label: run_config_over_suite(config, traces) for config in configs}

@@ -18,8 +18,9 @@ Inside the simulation core (``repro.sim``, ``repro.engine``,
 * iterating directly over a set literal or ``set()`` call, whose order
   depends on string-hash randomization across interpreter runs.
 
-Timing *measurement* (``time.perf_counter`` in the perf harness) lives
-outside these packages and is deliberately not matched.
+Timing *measurement* (``time.perf_counter`` in the job runner, the
+report generator and the service) lives outside these packages and is
+deliberately not matched.
 """
 
 from __future__ import annotations

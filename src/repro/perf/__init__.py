@@ -1,42 +1,9 @@
-"""Micro-benchmark harness for the simulation hot path.
-
-``python -m repro.perf`` times single-simulation throughput
-(accesses/sec) on pinned-seed workloads across a small pinned config
-matrix, plus one end-to-end figure-runner sweep, and writes a
-machine-readable ``BENCH_<tag>.json`` so successive PRs accumulate a
-perf trajectory.  ``python -m repro.perf --compare BENCH_baseline.json``
-fails (exit 1) when aggregate throughput regresses beyond the allowed
-fraction — the CI perf-smoke job runs exactly that.
+"""Golden equivalence fixture for the simulation hot path.
 
 ``python -m repro.perf.golden --write`` regenerates the golden
 equivalence fixture used by ``tests/test_golden_equivalence.py``; only
 regenerate it when a PR *intentionally* changes simulation results.
+
+Speed is measured by the repository benchmark, ``perfbench/`` at the
+repository root (see ``perfbench/README.md``), not by this package.
 """
-
-from repro.perf.harness import (
-    BENCH_SCHEMA_VERSION,
-    BenchEntry,
-    BenchReport,
-    DEFAULT_ACCESSES,
-    EnvironmentMismatchError,
-    PINNED_WORKLOADS,
-    compare_reports,
-    microbench_configs,
-    run_figure_bench,
-    run_microbench,
-    write_report,
-)
-
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchEntry",
-    "BenchReport",
-    "DEFAULT_ACCESSES",
-    "EnvironmentMismatchError",
-    "PINNED_WORKLOADS",
-    "compare_reports",
-    "microbench_configs",
-    "run_figure_bench",
-    "run_microbench",
-    "write_report",
-]

@@ -186,17 +186,6 @@ class ExperimentSpec:
         """This spec as a runnable :class:`SweepSpec` (no reducer)."""
         return SweepSpec(name=self.name, jobs=self.jobs())
 
-    def missing_jobs(self, cache) -> List[SimJob]:
-        """The subset of this spec's jobs with no entry in ``cache``.
-
-        The crash-resume preview: after an interrupted run, these are
-        the jobs a re-run will actually execute (everything else is
-        served from the checkpointed entries).  Existence-only — a
-        corrupt entry still counts as present here and is quarantined
-        and re-run when the runner reads it.
-        """
-        return [job for job in self.jobs() if not cache.has(job.key())]
-
     def delta(self, since: "ExperimentSpec") -> Any:
         """Diff this spec's matrix against ``since``'s by content hash.
 

@@ -32,7 +32,7 @@ def run_cli(*args: str, stdin_data: bytes = b"",
 
 def test_help_screens():
     for args in ([], ["run"], ["sweep"], ["trace"], ["trace", "generate"],
-                 ["trace", "convert"], ["trace", "inspect"], ["bench"],
+                 ["trace", "convert"], ["trace", "inspect"],
                  ["serve"], ["submit"]):
         proc = run_cli(*args, "--help")
         assert b"usage:" in proc.stdout.lower()
@@ -112,13 +112,6 @@ def test_sweep_figure_runner(tmp_path):
 def test_unknown_workload_fails_cleanly():
     proc = run_cli("run", "--workload", "no.such.workload", expect_rc=2)
     assert b"unknown workload" in proc.stderr
-
-
-def test_bench_forwards_option_like_arguments():
-    """`repro bench --skip-figure ...` must reach repro.perf without a
-    `--` separator (argparse REMAINDER cannot capture leading options)."""
-    proc = run_cli("bench", "--help")
-    assert b"repro.perf" in proc.stdout
 
 
 def test_sweep_figure_rejects_matrix_flags():

@@ -50,6 +50,12 @@ MATRIX = [(prefetcher, predictor)
           for predictor in GOLDEN_PREDICTORS]
 
 
+def test_golden_config_matrix_labels_are_unique():
+    labels = {golden_config(pf, pd).label
+              for pf in GOLDEN_PREFETCHERS for pd in GOLDEN_PREDICTORS}
+    assert len(labels) == len(GOLDEN_PREFETCHERS) * len(GOLDEN_PREDICTORS)
+
+
 @pytest.fixture(scope="module")
 def fixture_runs():
     fixture = json.loads(FIXTURE_PATH.read_text())

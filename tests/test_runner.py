@@ -119,19 +119,11 @@ def test_sweep_spec_reducer():
 
 def test_trace_cache_returns_same_object():
     first = make_trace("ligra.pagerank", num_accesses=700)
+    hits_before = trace_cache().hits
     second = make_trace("ligra.pagerank", num_accesses=700)
     assert first is second
+    assert trace_cache().hits == hits_before + 1
     assert make_trace("ligra.pagerank", num_accesses=701) is not first
-
-
-def test_build_suite_hits_trace_cache():
-    setup = ExperimentSetup(num_accesses=900, per_category=1,
-                            categories=["SPEC06", "Ligra"])
-    first = setup.build_suite()
-    hits_before = trace_cache().hits
-    second = setup.build_suite()
-    assert all(a is b for a, b in zip(first, second))
-    assert trace_cache().hits >= hits_before + len(first)
 
 
 class _CountingBackend(ExecutionBackend):
