@@ -126,6 +126,19 @@ def test_trace_cache_returns_same_object():
     assert make_trace("ligra.pagerank", num_accesses=701) is not first
 
 
+def test_build_suite_hits_trace_cache():
+    # A setup's suite is built the way the job executor builds it: one
+    # make_trace per job.  Building it again is served from the cache.
+    setup = ExperimentSetup(num_accesses=900, per_category=1,
+                            categories=["SPEC06", "Ligra"])
+    jobs = setup.jobs(SystemConfig.no_prefetching())
+    first = [make_trace(job.workload, job.num_accesses) for job in jobs]
+    hits_before = trace_cache().hits
+    second = [make_trace(job.workload, job.num_accesses) for job in jobs]
+    assert all(a is b for a, b in zip(first, second))
+    assert trace_cache().hits >= hits_before + len(first)
+
+
 class _CountingBackend(ExecutionBackend):
     """Counts the jobs handed to a wrapped backend (serial by default)."""
 
