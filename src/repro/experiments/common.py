@@ -1,9 +1,13 @@
 """Shared experiment scaffolding, built on the runner subsystem.
 
-Every ``run_fig*`` runner declares its sweep as :class:`SimJob` lists
-(via :func:`run_matrix` / :func:`run_suite`) and reduces the results;
-the :class:`ExperimentSetup` decides how those jobs execute — serially
-by default, or fanned out over a process pool with ``parallel=True``,
+Every paper figure is a plan plus a reduction.  Its ``plan_fig*``
+function declares the sweep as a :class:`~repro.runner.job.SweepSpec`:
+the :class:`SimJob` list (mostly via :func:`plan_matrix`) and the
+reducer that turns the jobs' results into the figure's payload.  Its
+``run_fig*`` runner is :func:`run_plan` of that plan, and ``repro
+report`` runs the plans of every requested figure as one batch.  The
+:class:`ExperimentSetup` decides how jobs execute — serially by
+default, or fanned out over a process pool with ``parallel=True``,
 optionally memoised on disk with ``result_cache_dir``.
 """
 
@@ -11,7 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.runner import (
     ExecutionBackend,
@@ -104,21 +118,20 @@ class ExperimentSetup:
                               self.num_accesses, predictor_spec)
 
 
-def run_suite(setup: ExperimentSetup, config: SystemConfig,
-              predictor_spec: Optional[PredictorSpec] = None,
-              ) -> List[SimulationResult]:
-    """Run the setup's suite through one configuration."""
-    return setup.runner().run(setup.jobs(config, predictor_spec))
+#: Results grouped by configuration label (what ``run_matrix`` returns).
+Grouped = Dict[str, List[SimulationResult]]
+
+#: A matrix plan's reducer, over its grouped results.
+MatrixReducer = Callable[[Grouped], Any]
 
 
-def run_matrix(setup: ExperimentSetup,
-               configs: Mapping[str, ConfigEntry],
-               ) -> Dict[str, List[SimulationResult]]:
-    """Run several configurations over the setup's suite, keyed by label.
+def plan_matrix(name: str, setup: ExperimentSetup,
+                configs: Mapping[str, ConfigEntry],
+                reduce: MatrixReducer) -> SweepSpec:
+    """Plan several configurations over the setup's suite, keyed by label.
 
-    All (config x workload) jobs are submitted to the backend as one
-    batch, so a process pool parallelises across the whole matrix, not
-    just within one configuration.
+    The plan holds one job per (config x workload), label by label, and
+    its reducer hands ``reduce`` the results grouped by label.
     """
     jobs: List[SimJob] = []
     spans: Dict[str, Tuple[int, int]] = {}
@@ -127,7 +140,26 @@ def run_matrix(setup: ExperimentSetup,
         start = len(jobs)
         jobs.extend(setup.jobs(config, spec))
         spans[label] = (start, len(jobs))
-    sweep = SweepSpec(name="matrix", jobs=jobs)
-    results = setup.runner().run_sweep(sweep)
-    return {label: results[start:end] for label, (start, end) in spans.items()}
 
+    def reducer(results: List[Any]) -> Any:
+        return reduce({label: results[start:end]
+                       for label, (start, end) in spans.items()})
+
+    return SweepSpec(name=name, jobs=jobs, reducer=reducer)
+
+
+def run_plan(setup: Optional[ExperimentSetup], plan: SweepSpec) -> Any:
+    """Run a plan's jobs through the setup's runner and reduce them."""
+    return (setup or ExperimentSetup()).runner().run_sweep(plan)
+
+
+def run_matrix(setup: ExperimentSetup,
+               configs: Mapping[str, ConfigEntry]) -> Grouped:
+    """Run several configurations over the setup's suite, keyed by label.
+
+    All (config x workload) jobs are submitted to the backend as one
+    batch, so a process pool parallelises across the whole matrix, not
+    just within one configuration.
+    """
+    return run_plan(setup, plan_matrix("matrix", setup, configs,
+                                       lambda grouped: grouped))

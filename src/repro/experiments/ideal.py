@@ -7,18 +7,24 @@ the four other prefetchers (Bingo, SPP, MLOP, SMS).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis.metrics import geomean_speedup
-from repro.experiments.common import ExperimentSetup, run_matrix
+from repro.experiments.common import (
+    ExperimentSetup,
+    Grouped,
+    plan_matrix,
+    run_plan,
+)
+from repro.runner import SweepSpec
 from repro.sim.config import SystemConfig
 
 
-def run_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
-                           prefetchers: Sequence[str] = ("pythia", "bingo", "spp",
-                                                         "mlop", "sms"),
-                           ) -> Dict[str, Dict[str, float]]:
-    """Return speedups of prefetcher-only and prefetcher+Ideal-Hermes systems.
+def plan_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
+                            prefetchers: Sequence[str] = ("pythia", "bingo", "spp",
+                                                          "mlop", "sms"),
+                            ) -> SweepSpec:
+    """Speedups of prefetcher-only and prefetcher+Ideal-Hermes systems.
 
     Paper figure: Fig. 4.  Sweep axes: prefetcher ∈ ``prefetchers`` ×
     Ideal-Hermes ∈ {off, on} × the setup's workload suite, plus the
@@ -29,7 +35,6 @@ def run_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
     ``{prefetcher: {prefetcher_only, prefetcher_plus_ideal_hermes}}``
     row per prefetcher — geomean speedups over no-prefetching.
     """
-    setup = setup or ExperimentSetup()
     matrix = {
         "baseline": SystemConfig.no_prefetching(),
         "ideal-hermes-alone": SystemConfig.with_hermes("ideal", prefetcher="none"),
@@ -38,18 +43,27 @@ def run_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
         matrix[f"{prefetcher}/only"] = SystemConfig.baseline(prefetcher)
         matrix[f"{prefetcher}/ideal"] = SystemConfig.with_hermes(
             "ideal", prefetcher=prefetcher)
-    results = run_matrix(setup, matrix)
-    baseline = results["baseline"]
 
-    table: Dict[str, Dict[str, float]] = {
-        "ideal-hermes-alone": {
-            "speedup": geomean_speedup(results["ideal-hermes-alone"], baseline)},
-    }
-    for prefetcher in prefetchers:
-        table[prefetcher] = {
-            "prefetcher_only": geomean_speedup(results[f"{prefetcher}/only"],
-                                               baseline),
-            "prefetcher_plus_ideal_hermes": geomean_speedup(
-                results[f"{prefetcher}/ideal"], baseline),
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        baseline = results["baseline"]
+        table: Dict[str, Dict[str, float]] = {
+            "ideal-hermes-alone": {
+                "speedup": geomean_speedup(results["ideal-hermes-alone"],
+                                           baseline)},
         }
-    return table
+        for prefetcher in prefetchers:
+            table[prefetcher] = {
+                "prefetcher_only": geomean_speedup(
+                    results[f"{prefetcher}/only"], baseline),
+                "prefetcher_plus_ideal_hermes": geomean_speedup(
+                    results[f"{prefetcher}/ideal"], baseline),
+            }
+        return table
+
+    return plan_matrix("fig04", setup or ExperimentSetup(), matrix, reduce)
+
+
+def run_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
+                           **options: Any) -> Dict[str, Dict[str, float]]:
+    """Fig. 4's payload: :func:`plan_fig04_ideal_hermes`, run and reduced."""
+    return run_plan(setup, plan_fig04_ideal_hermes(setup, **options))

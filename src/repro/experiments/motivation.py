@@ -14,11 +14,17 @@ from collections import defaultdict
 from typing import Dict, Optional
 
 from repro.analysis.metrics import average
-from repro.experiments.common import ExperimentSetup, run_matrix, run_suite
+from repro.experiments.common import (
+    ExperimentSetup,
+    Grouped,
+    plan_matrix,
+    run_plan,
+)
+from repro.runner import SweepSpec
 from repro.sim.config import SystemConfig
 
 
-def run_fig02_offchip_loads(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
+def plan_fig02_offchip_loads(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
     """Off-chip load counts (blocking vs non-blocking) and MPKI, no-prefetch vs Pythia.
 
     Paper figure: Fig. 2.  Sweep axes: system ∈ {no-prefetching, Pythia}
@@ -30,36 +36,42 @@ def run_fig02_offchip_loads(setup: Optional[ExperimentSetup] = None) -> Dict[str
     normalised to the no-prefetching system's off-chip total as in the
     paper.
     """
-    setup = setup or ExperimentSetup()
-    results = run_matrix(setup, {
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        noprefetch, pythia = results["noprefetch"], results["pythia"]
+        table: Dict[str, Dict[str, float]] = {}
+        grouped: Dict[str, list] = defaultdict(list)
+        for base, with_pf in zip(noprefetch, pythia):
+            grouped[base.category].append((base, with_pf))
+        for category, pairs in grouped.items():
+            rows = []
+            for base, with_pf in pairs:
+                base_total = max(1, base.core.offchip_loads)
+                rows.append({
+                    "noprefetch_blocking": base.core.blocking_offchip_loads / base_total,
+                    "noprefetch_nonblocking": base.core.nonblocking_offchip_loads / base_total,
+                    "pythia_blocking": with_pf.core.blocking_offchip_loads / base_total,
+                    "pythia_nonblocking": with_pf.core.nonblocking_offchip_loads / base_total,
+                    "noprefetch_mpki": base.llc_mpki,
+                    "pythia_mpki": with_pf.llc_mpki,
+                })
+            table[category] = {key: average(row[key] for row in rows)
+                               for key in rows[0]}
+        table["AVG"] = {key: average(table[cat][key] for cat in table)
+                        for key in next(iter(table.values()))}
+        return table
+
+    return plan_matrix("fig02", setup or ExperimentSetup(), {
         "noprefetch": SystemConfig.no_prefetching(),
         "pythia": SystemConfig.baseline("pythia"),
-    })
-    noprefetch, pythia = results["noprefetch"], results["pythia"]
-
-    table: Dict[str, Dict[str, float]] = {}
-    grouped: Dict[str, list] = defaultdict(list)
-    for base, with_pf in zip(noprefetch, pythia):
-        grouped[base.category].append((base, with_pf))
-    for category, pairs in grouped.items():
-        rows = []
-        for base, with_pf in pairs:
-            base_total = max(1, base.core.offchip_loads)
-            rows.append({
-                "noprefetch_blocking": base.core.blocking_offchip_loads / base_total,
-                "noprefetch_nonblocking": base.core.nonblocking_offchip_loads / base_total,
-                "pythia_blocking": with_pf.core.blocking_offchip_loads / base_total,
-                "pythia_nonblocking": with_pf.core.nonblocking_offchip_loads / base_total,
-                "noprefetch_mpki": base.llc_mpki,
-                "pythia_mpki": with_pf.llc_mpki,
-            })
-        table[category] = {key: average(row[key] for row in rows) for key in rows[0]}
-    table["AVG"] = {key: average(table[cat][key] for cat in table)
-                    for key in next(iter(table.values()))}
-    return table
+    }, reduce)
 
 
-def run_fig03_stall_cycles(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
+def run_fig02_offchip_loads(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
+    """Fig. 2's payload: :func:`plan_fig02_offchip_loads`, run and reduced."""
+    return run_plan(setup, plan_fig02_offchip_loads(setup))
+
+
+def plan_fig03_stall_cycles(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
     """Average stall cycles per blocking off-chip load, and the on-chip share.
 
     Paper figure: Fig. 3.  Sweep axes: the Pythia baseline alone × the
@@ -72,31 +84,37 @@ def run_fig03_stall_cycles(setup: Optional[ExperimentSetup] = None) -> Dict[str,
     stall count with a sizeable on-chip share, growing for the irregular
     categories.
     """
-    setup = setup or ExperimentSetup()
-    pythia = run_suite(setup, SystemConfig.baseline("pythia"))
-
-    table: Dict[str, Dict[str, float]] = {}
-    grouped: Dict[str, list] = defaultdict(list)
-    for result in pythia:
-        grouped[result.category].append(result)
-    for category, results in grouped.items():
-        stalls = [r.core.average_offchip_stall for r in results
-                  if r.core.blocking_offchip_loads > 0]
-        shares = [r.core.stall_cycles_offchip_onchip_portion / r.core.stall_cycles_offchip
-                  for r in results if r.core.stall_cycles_offchip > 0]
-        table[category] = {
-            "stall_cycles_per_offchip_load": average(stalls),
-            "onchip_share": average(shares),
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        table: Dict[str, Dict[str, float]] = {}
+        grouped: Dict[str, list] = defaultdict(list)
+        for result in results["pythia"]:
+            grouped[result.category].append(result)
+        for category, rs in grouped.items():
+            stalls = [r.core.average_offchip_stall for r in rs
+                      if r.core.blocking_offchip_loads > 0]
+            shares = [r.core.stall_cycles_offchip_onchip_portion / r.core.stall_cycles_offchip
+                      for r in rs if r.core.stall_cycles_offchip > 0]
+            table[category] = {
+                "stall_cycles_per_offchip_load": average(stalls),
+                "onchip_share": average(shares),
+            }
+        table["AVG"] = {
+            "stall_cycles_per_offchip_load": average(
+                row["stall_cycles_per_offchip_load"] for row in table.values()),
+            "onchip_share": average(row["onchip_share"] for row in table.values()),
         }
-    table["AVG"] = {
-        "stall_cycles_per_offchip_load": average(
-            row["stall_cycles_per_offchip_load"] for row in table.values()),
-        "onchip_share": average(row["onchip_share"] for row in table.values()),
-    }
-    return table
+        return table
+
+    return plan_matrix("fig03", setup or ExperimentSetup(),
+                       {"pythia": SystemConfig.baseline("pythia")}, reduce)
 
 
-def run_fig05_offchip_rate(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
+def run_fig03_stall_cycles(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
+    """Fig. 3's payload: :func:`plan_fig03_stall_cycles`, run and reduced."""
+    return run_plan(setup, plan_fig03_stall_cycles(setup))
+
+
+def plan_fig05_offchip_rate(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
     """Fraction of loads that go off-chip and LLC MPKI in the Pythia baseline.
 
     Paper figure: Fig. 5.  Sweep axes: the Pythia baseline alone × the
@@ -105,21 +123,27 @@ def run_fig05_offchip_rate(setup: Optional[ExperimentSetup] = None) -> Dict[str,
     Payload: ``{category: {offchip_load_fraction, llc_mpki}}`` plus an
     ``"AVG"`` row — the "small positive class" motivation for POPET.
     """
-    setup = setup or ExperimentSetup()
-    pythia = run_suite(setup, SystemConfig.baseline("pythia"))
-
-    grouped: Dict[str, list] = defaultdict(list)
-    for result in pythia:
-        grouped[result.category].append(result)
-    table: Dict[str, Dict[str, float]] = {}
-    for category, results in grouped.items():
-        table[category] = {
-            "offchip_load_fraction": average(r.offchip_load_fraction for r in results),
-            "llc_mpki": average(r.llc_mpki for r in results),
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        grouped: Dict[str, list] = defaultdict(list)
+        for result in results["pythia"]:
+            grouped[result.category].append(result)
+        table: Dict[str, Dict[str, float]] = {}
+        for category, rs in grouped.items():
+            table[category] = {
+                "offchip_load_fraction": average(r.offchip_load_fraction for r in rs),
+                "llc_mpki": average(r.llc_mpki for r in rs),
+            }
+        table["AVG"] = {
+            "offchip_load_fraction": average(row["offchip_load_fraction"]
+                                             for row in table.values()),
+            "llc_mpki": average(row["llc_mpki"] for row in table.values()),
         }
-    table["AVG"] = {
-        "offchip_load_fraction": average(row["offchip_load_fraction"]
-                                         for row in table.values()),
-        "llc_mpki": average(row["llc_mpki"] for row in table.values()),
-    }
-    return table
+        return table
+
+    return plan_matrix("fig05", setup or ExperimentSetup(),
+                       {"pythia": SystemConfig.baseline("pythia")}, reduce)
+
+
+def run_fig05_offchip_rate(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
+    """Fig. 5's payload: :func:`plan_fig05_offchip_rate`, run and reduced."""
+    return run_plan(setup, plan_fig05_offchip_rate(setup))

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import geomean
-from repro.experiments.common import ExperimentSetup
-from repro.runner import SimJob
+from repro.experiments.common import ExperimentSetup, run_plan
+from repro.runner import SimJob, SweepSpec
 from repro.sim.config import SystemConfig
+from repro.sim.multicore import MultiCoreResult
 from repro.workloads.suite import multicore_mix_names
 
 
-def run_fig16_multicore(num_cores: int = 8, num_mixes: int = 3,
-                        num_accesses: int = 4000,
-                        predictors: Sequence[str] = ("hmp", "ttp", "popet"),
-                        seed: int = 99,
-                        setup: Optional[ExperimentSetup] = None) -> Dict[str, float]:
+def plan_fig16_multicore(setup: Optional[ExperimentSetup] = None,
+                         num_cores: int = 8, num_mixes: int = 3,
+                         num_accesses: int = 4000,
+                         predictors: Sequence[str] = ("hmp", "ttp", "popet"),
+                         seed: int = 99) -> SweepSpec:
     """Geomean throughput speedup of Pythia + Hermes-{HMP,TTP,POPET} over no-prefetching.
 
     Paper figure: Fig. 16.  Sweep axes: system ∈ {no-prefetching,
@@ -24,11 +25,9 @@ def run_fig16_multicore(num_cores: int = 8, num_mixes: int = 3,
     workloads each (one per core, shared LLC, the paper's 4-channel
     eight-core memory system).
 
-    Payload: ``{system: geomean_throughput_speedup}`` (flat).  ``setup``
-    only supplies execution knobs (``parallel``/``max_workers``/
-    caching); mix sizing comes from the explicit arguments.
+    Payload: ``{system: geomean_throughput_speedup}`` (flat).  Mix
+    sizing comes from the explicit arguments, not from ``setup``.
     """
-    setup = setup or ExperimentSetup()
     mixes = multicore_mix_names(num_cores=num_cores, num_mixes=num_mixes,
                                 seed=seed)
     configs: Dict[str, SystemConfig] = {
@@ -45,16 +44,29 @@ def run_fig16_multicore(num_cores: int = 8, num_mixes: int = 3,
         for config in configs.values()
         for mix in mixes
     ]
-    results = setup.runner().run(jobs)
-    throughputs = {
-        label: [results[config_index * len(mixes) + mix_index].throughput
-                for mix_index in range(len(mixes))]
-        for config_index, label in enumerate(configs)
-    }
 
-    baseline_throughputs = throughputs.pop("baseline")
-    table: Dict[str, float] = {}
-    for label, values in throughputs.items():
-        speedups = [t / b for t, b in zip(values, baseline_throughputs) if b > 0]
-        table[label] = geomean(speedups)
-    return table
+    def reduce(results: List[MultiCoreResult]) -> Dict[str, float]:
+        throughputs = {
+            label: [results[config_index * len(mixes) + mix_index].throughput
+                    for mix_index in range(len(mixes))]
+            for config_index, label in enumerate(configs)
+        }
+        baseline_throughputs = throughputs.pop("baseline")
+        table: Dict[str, float] = {}
+        for label, values in throughputs.items():
+            speedups = [t / b for t, b in zip(values, baseline_throughputs)
+                        if b > 0]
+            table[label] = geomean(speedups)
+        return table
+
+    return SweepSpec(name="fig16", jobs=jobs, reducer=reduce)
+
+
+def run_fig16_multicore(setup: Optional[ExperimentSetup] = None,
+                        **options: Any) -> Dict[str, float]:
+    """Fig. 16's payload: :func:`plan_fig16_multicore`, run and reduced.
+
+    ``setup`` only supplies execution knobs (``parallel``/
+    ``max_workers``/caching).
+    """
+    return run_plan(setup, plan_fig16_multicore(setup, **options))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.analysis.metrics import (
     average,
@@ -13,7 +13,13 @@ from repro.analysis.metrics import (
     stall_reduction,
 )
 from repro.analysis.power import PowerModel
-from repro.experiments.common import ExperimentSetup, run_matrix
+from repro.experiments.common import (
+    ExperimentSetup,
+    Grouped,
+    plan_matrix,
+    run_plan,
+)
+from repro.runner import SweepSpec
 from repro.sim.config import SystemConfig
 
 
@@ -30,8 +36,8 @@ def _standard_configs() -> Dict[str, SystemConfig]:
     }
 
 
-def run_fig12_singlecore_speedup(setup: Optional[ExperimentSetup] = None,
-                                 ) -> Dict[str, Dict[str, float]]:
+def plan_fig12_singlecore_speedup(setup: Optional[ExperimentSetup] = None,
+                                  ) -> SweepSpec:
     """Per-category geomean speedup of the Fig. 12 systems over no-prefetching.
 
     Paper figure: Fig. 12 (the headline result).  Sweep axes: system ∈
@@ -41,17 +47,24 @@ def run_fig12_singlecore_speedup(setup: Optional[ExperimentSetup] = None,
     Payload: ``{system: {category: geomean_speedup}}`` with a
     ``"GEOMEAN"`` entry per system.
     """
-    setup = setup or ExperimentSetup()
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        baseline = results.pop("baseline")
+        return {label: speedup_by_category(rs, baseline)
+                for label, rs in results.items()}
+
     matrix = {"baseline": SystemConfig.no_prefetching()}
     matrix.update(_standard_configs())
-    results = run_matrix(setup, matrix)
-    baseline = results.pop("baseline")
-    return {label: speedup_by_category(rs, baseline)
-            for label, rs in results.items()}
+    return plan_matrix("fig12", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig13_per_workload_speedup(setup: Optional[ExperimentSetup] = None,
-                                   ) -> Dict[str, Dict[str, float]]:
+def run_fig12_singlecore_speedup(setup: Optional[ExperimentSetup] = None,
+                                 ) -> Dict[str, Dict[str, float]]:
+    """Fig. 12's payload: :func:`plan_fig12_singlecore_speedup`, run and reduced."""
+    return run_plan(setup, plan_fig12_singlecore_speedup(setup))
+
+
+def plan_fig13_per_workload_speedup(setup: Optional[ExperimentSetup] = None,
+                                    ) -> SweepSpec:
     """Per-workload speedups of Hermes, Pythia and Pythia+Hermes (Fig. 13 line graph).
 
     Paper figure: Fig. 13.  Sweep axes: system ∈ {Hermes-O, Pythia,
@@ -61,26 +74,33 @@ def run_fig13_per_workload_speedup(setup: Optional[ExperimentSetup] = None,
     Payload: ``{workload: {system: speedup}}`` — one point per
     (workload, system), no aggregation.
     """
-    setup = setup or ExperimentSetup()
-    results = run_matrix(setup, {
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        baseline_by_workload = {r.workload: r for r in results.pop("baseline")}
+        table: Dict[str, Dict[str, float]] = defaultdict(dict)
+        for label, rs in results.items():
+            for result in rs:
+                table[result.workload][label] = result.speedup_over(
+                    baseline_by_workload[result.workload])
+        return dict(table)
+
+    return plan_matrix("fig13", setup or ExperimentSetup(), {
         "baseline": SystemConfig.no_prefetching(),
         "hermes-O": SystemConfig.with_hermes("popet", prefetcher="none"),
         "pythia": SystemConfig.baseline("pythia"),
         "pythia+hermes-O": SystemConfig.with_hermes("popet", prefetcher="pythia"),
-    })
-    baseline_by_workload = {r.workload: r for r in results.pop("baseline")}
-    table: Dict[str, Dict[str, float]] = defaultdict(dict)
-    for label, rs in results.items():
-        for result in rs:
-            table[result.workload][label] = result.speedup_over(
-                baseline_by_workload[result.workload])
-    return dict(table)
+    }, reduce)
 
 
-def run_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
-                                   predictors: Sequence[str] = ("hmp", "ttp", "popet",
-                                                                "ideal"),
-                                   ) -> Dict[str, float]:
+def run_fig13_per_workload_speedup(setup: Optional[ExperimentSetup] = None,
+                                   ) -> Dict[str, Dict[str, float]]:
+    """Fig. 13's payload: :func:`plan_fig13_per_workload_speedup`, run and reduced."""
+    return run_plan(setup, plan_fig13_per_workload_speedup(setup))
+
+
+def plan_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
+                                    predictors: Sequence[str] = ("hmp", "ttp", "popet",
+                                                                 "ideal"),
+                                    ) -> SweepSpec:
     """Geomean speedup of Pythia + Hermes-{HMP, TTP, POPET, Ideal} over no-prefetching.
 
     Paper figure: Fig. 14.  Sweep axes: off-chip predictor ∈
@@ -90,7 +110,11 @@ def run_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
     Payload: ``{"pythia" | "pythia+hermes-<predictor>":
     geomean_speedup}`` (flat).
     """
-    setup = setup or ExperimentSetup()
+    def reduce(results: Grouped) -> Dict[str, float]:
+        baseline = results.pop("baseline")
+        return {label: geomean_speedup(rs, baseline)
+                for label, rs in results.items()}
+
     matrix = {
         "baseline": SystemConfig.no_prefetching(),
         "pythia": SystemConfig.baseline("pythia"),
@@ -98,13 +122,17 @@ def run_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
     for predictor in predictors:
         matrix[f"pythia+hermes-{predictor}"] = SystemConfig.with_hermes(
             predictor, prefetcher="pythia")
-    results = run_matrix(setup, matrix)
-    baseline = results.pop("baseline")
-    return {label: geomean_speedup(rs, baseline) for label, rs in results.items()}
+    return plan_matrix("fig14", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
-                                  ) -> Dict[str, float]:
+def run_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
+                                   **options: Any) -> Dict[str, float]:
+    """Fig. 14's payload: :func:`plan_fig14_predictor_comparison`, run and reduced."""
+    return run_plan(setup, plan_fig14_predictor_comparison(setup, **options))
+
+
+def plan_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
+                                   ) -> SweepSpec:
     """Fig. 15(a): stall-cycle reduction of Hermes; Fig. 15(b): memory-request overhead.
 
     Paper figure: Fig. 15.  Sweep axes: system ∈ {no-prefetching,
@@ -115,26 +143,33 @@ def run_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
     memory_overhead_pct_pythia_hermes}`` — percentages (paper: 5.5% for
     Hermes vs 38.5% for Pythia).
     """
-    setup = setup or ExperimentSetup()
-    results = run_matrix(setup, {
+    def reduce(results: Grouped) -> Dict[str, float]:
+        return {
+            "stall_reduction_pct_vs_pythia": stall_reduction(
+                results["pythia+hermes"], results["pythia"]),
+            "memory_overhead_pct_hermes": main_memory_overhead(
+                results["hermes"], results["noprefetch"]),
+            "memory_overhead_pct_pythia": main_memory_overhead(
+                results["pythia"], results["noprefetch"]),
+            "memory_overhead_pct_pythia_hermes": main_memory_overhead(
+                results["pythia+hermes"], results["noprefetch"]),
+        }
+
+    return plan_matrix("fig15", setup or ExperimentSetup(), {
         "noprefetch": SystemConfig.no_prefetching(),
         "pythia": SystemConfig.baseline("pythia"),
         "pythia+hermes": SystemConfig.with_hermes("popet", prefetcher="pythia"),
         "hermes": SystemConfig.with_hermes("popet", prefetcher="none"),
-    })
-    return {
-        "stall_reduction_pct_vs_pythia": stall_reduction(results["pythia+hermes"],
-                                                         results["pythia"]),
-        "memory_overhead_pct_hermes": main_memory_overhead(results["hermes"],
-                                                           results["noprefetch"]),
-        "memory_overhead_pct_pythia": main_memory_overhead(results["pythia"],
-                                                           results["noprefetch"]),
-        "memory_overhead_pct_pythia_hermes": main_memory_overhead(
-            results["pythia+hermes"], results["noprefetch"]),
-    }
+    }, reduce)
 
 
-def run_fig18_power(setup: Optional[ExperimentSetup] = None) -> Dict[str, float]:
+def run_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
+                                  ) -> Dict[str, float]:
+    """Fig. 15's payload: :func:`plan_fig15_stalls_and_overhead`, run and reduced."""
+    return run_plan(setup, plan_fig15_stalls_and_overhead(setup))
+
+
+def plan_fig18_power(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
     """Runtime dynamic power of Hermes / Pythia / Pythia+Hermes vs no-prefetching.
 
     Paper figure: Fig. 18.  Sweep axes: system ∈ {no-prefetching,
@@ -144,27 +179,34 @@ def run_fig18_power(setup: Optional[ExperimentSetup] = None) -> Dict[str, float]
     Payload: ``{system: relative_dynamic_power}`` (flat; the
     no-prefetching baseline is 1.0 by construction).
     """
-    setup = setup or ExperimentSetup()
-    model = PowerModel()
-    results = run_matrix(setup, {
+    def reduce(results: Grouped) -> Dict[str, float]:
+        model = PowerModel()
+        baseline_by_workload = {r.workload: r
+                                for r in results.pop("no-prefetching")}
+        table: Dict[str, float] = {"no-prefetching": 1.0}
+        for label, rs in results.items():
+            ratios = [model.relative_power(
+                result, baseline_by_workload[result.workload]) for result in rs]
+            table[label] = average(ratios)
+        return table
+
+    return plan_matrix("fig18", setup or ExperimentSetup(), {
         "no-prefetching": SystemConfig.no_prefetching(),
         "hermes": SystemConfig.with_hermes("popet", prefetcher="none"),
         "pythia": SystemConfig.baseline("pythia"),
         "pythia+hermes": SystemConfig.with_hermes("popet", prefetcher="pythia"),
-    })
-    baseline_by_workload = {r.workload: r for r in results.pop("no-prefetching")}
-    table: Dict[str, float] = {"no-prefetching": 1.0}
-    for label, rs in results.items():
-        ratios = [model.relative_power(result, baseline_by_workload[result.workload])
-                  for result in rs]
-        table[label] = average(ratios)
-    return table
+    }, reduce)
 
 
-def run_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
-                                     prefetchers: Sequence[str] = ("pythia", "bingo",
-                                                                   "spp", "mlop", "sms"),
-                                     ) -> Dict[str, Dict[str, float]]:
+def run_fig18_power(setup: Optional[ExperimentSetup] = None) -> Dict[str, float]:
+    """Fig. 18's payload: :func:`plan_fig18_power`, run and reduced."""
+    return run_plan(setup, plan_fig18_power(setup))
+
+
+def plan_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
+                                      prefetchers: Sequence[str] = ("pythia", "bingo",
+                                                                    "spp", "mlop", "sms"),
+                                      ) -> SweepSpec:
     """Main-memory request overhead of each prefetcher alone and with Hermes.
 
     Paper figure: Fig. 22.  Sweep axes: prefetcher ∈ ``prefetchers`` ×
@@ -175,20 +217,27 @@ def run_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
     prefetcher_plus_hermes_pct}}`` — average % increase in main-memory
     requests over no-prefetching.
     """
-    setup = setup or ExperimentSetup()
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        noprefetch = results["noprefetch"]
+        return {
+            prefetcher: {
+                "prefetcher_pct": main_memory_overhead(
+                    results[f"{prefetcher}/only"], noprefetch),
+                "prefetcher_plus_hermes_pct": main_memory_overhead(
+                    results[f"{prefetcher}/hermes"], noprefetch),
+            }
+            for prefetcher in prefetchers
+        }
+
     matrix = {"noprefetch": SystemConfig.no_prefetching()}
     for prefetcher in prefetchers:
         matrix[f"{prefetcher}/only"] = SystemConfig.baseline(prefetcher)
         matrix[f"{prefetcher}/hermes"] = SystemConfig.with_hermes(
             "popet", prefetcher=prefetcher)
-    results = run_matrix(setup, matrix)
-    noprefetch = results["noprefetch"]
-    return {
-        prefetcher: {
-            "prefetcher_pct": main_memory_overhead(results[f"{prefetcher}/only"],
-                                                   noprefetch),
-            "prefetcher_plus_hermes_pct": main_memory_overhead(
-                results[f"{prefetcher}/hermes"], noprefetch),
-        }
-        for prefetcher in prefetchers
-    }
+    return plan_matrix("fig22", setup or ExperimentSetup(), matrix, reduce)
+
+
+def run_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
+                                     **options: Any) -> Dict[str, Dict[str, float]]:
+    """Fig. 22's payload: :func:`plan_fig22_overhead_by_prefetcher`, run and reduced."""
+    return run_plan(setup, plan_fig22_overhead_by_prefetcher(setup, **options))

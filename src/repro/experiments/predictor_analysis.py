@@ -16,16 +16,19 @@ the custom-feature predictors through the registry.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import average
 from repro.experiments.common import (
     ConfigEntry,
     ExperimentSetup,
+    Grouped,
     PredictorSpec,
-    run_matrix,
+    plan_matrix,
+    run_plan,
 )
 from repro.offchip.features import SELECTED_FEATURES
+from repro.runner import SweepSpec
 from repro.sim.config import SystemConfig
 
 #: Short display names for the five selected features (Fig. 10/11 legend order).
@@ -38,10 +41,10 @@ FEATURE_LABELS = {
 }
 
 
-def run_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
-                                predictors: Sequence[str] = ("hmp", "ttp", "popet"),
-                                prefetcher: str = "pythia",
-                                ) -> Dict[str, Dict[str, Dict[str, float]]]:
+def plan_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
+                                 predictors: Sequence[str] = ("hmp", "ttp", "popet"),
+                                 prefetcher: str = "pythia",
+                                 ) -> SweepSpec:
     """Accuracy and coverage of each predictor, per category and on average.
 
     Paper figure: Fig. 9.  Sweep axes: off-chip predictor ∈
@@ -51,37 +54,56 @@ def run_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
     Payload: ``{predictor: {category: {accuracy, coverage}}}`` with an
     ``"AVG"`` category per predictor.
     """
-    setup = setup or ExperimentSetup()
-    by_predictor = run_matrix(setup, {
+    def reduce(by_predictor: Grouped) -> Dict[str, Dict[str, Dict[str, float]]]:
+        table: Dict[str, Dict[str, Dict[str, float]]] = {}
+        for predictor, results in by_predictor.items():
+            grouped: Dict[str, list] = defaultdict(list)
+            for result in results:
+                grouped[result.category].append(result)
+            per_category = {
+                category: {
+                    "accuracy": average(r.predictor_accuracy for r in rs),
+                    "coverage": average(r.predictor_coverage for r in rs),
+                }
+                for category, rs in grouped.items()
+            }
+            per_category["AVG"] = {
+                "accuracy": average(r.predictor_accuracy for r in results),
+                "coverage": average(r.predictor_coverage for r in results),
+            }
+            table[predictor] = per_category
+        return table
+
+    return plan_matrix("fig09", setup or ExperimentSetup(), {
         predictor: SystemConfig.with_hermes(predictor, prefetcher=prefetcher)
         for predictor in predictors
-    })
-    table: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for predictor, results in by_predictor.items():
-        grouped: Dict[str, list] = defaultdict(list)
-        for result in results:
-            grouped[result.category].append(result)
-        per_category = {
-            category: {
-                "accuracy": average(r.predictor_accuracy for r in rs),
-                "coverage": average(r.predictor_coverage for r in rs),
-            }
-            for category, rs in grouped.items()
-        }
-        per_category["AVG"] = {
+    }, reduce)
+
+
+def run_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
+                                **options: Any,
+                                ) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Fig. 9's payload: :func:`plan_fig09_accuracy_coverage`, run and reduced."""
+    return run_plan(setup, plan_fig09_accuracy_coverage(setup, **options))
+
+
+def _suite_averages(by_label: Grouped) -> Dict[str, Dict[str, float]]:
+    """Suite-average predictor accuracy and coverage per matrix label."""
+    return {
+        label: {
             "accuracy": average(r.predictor_accuracy for r in results),
             "coverage": average(r.predictor_coverage for r in results),
         }
-        table[predictor] = per_category
-    return table
+        for label, results in by_label.items()
+    }
 
 
 def _popet_spec(features: Sequence[str]) -> PredictorSpec:
     return PredictorSpec("popet", {"features": tuple(features)})
 
 
-def run_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
-                               prefetcher: str = "pythia") -> Dict[str, Dict[str, float]]:
+def plan_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
+                                prefetcher: str = "pythia") -> SweepSpec:
     """Accuracy/coverage of POPET with individual features and stacked combinations.
 
     Paper figure: Fig. 10.  Sweep axes: POPET feature set ∈ {each of
@@ -92,7 +114,6 @@ def run_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
     Payload: ``{feature_set_label: {accuracy, coverage}}`` — suite
     averages, in the paper's presentation order.
     """
-    setup = setup or ExperimentSetup()
     # Individual features first, then cumulative combinations, then full POPET
     # — the same presentation as Fig. 10.
     variants: Dict[str, List[str]] = {}
@@ -107,19 +128,18 @@ def run_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
         label: (config, _popet_spec(features))
         for label, features in variants.items()
     }
-    by_variant = run_matrix(setup, matrix)
-    return {
-        label: {
-            "accuracy": average(r.predictor_accuracy for r in results),
-            "coverage": average(r.predictor_coverage for r in results),
-        }
-        for label, results in by_variant.items()
-    }
+    return plan_matrix("fig10", setup or ExperimentSetup(), matrix,
+                       _suite_averages)
 
 
-def run_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
-                                  prefetcher: str = "pythia",
-                                  ) -> Dict[str, Dict[str, Dict[str, float]]]:
+def run_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
+                               **options: Any) -> Dict[str, Dict[str, float]]:
+    """Fig. 10's payload: :func:`plan_fig10_feature_ablation`, run and reduced."""
+    return run_plan(setup, plan_fig10_feature_ablation(setup, **options))
+
+
+def plan_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
+                                   prefetcher: str = "pythia") -> SweepSpec:
     """Per-workload accuracy/coverage of each individual feature.
 
     Paper figure: Fig. 11.  Sweep axes: POPET feature ∈ the five
@@ -130,28 +150,39 @@ def run_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
     behind the claim that no single feature is best everywhere.
     """
     setup = setup or ExperimentSetup()
+    workloads = setup.workload_names()
     config = SystemConfig.with_hermes("popet", prefetcher=prefetcher)
     matrix: Dict[str, ConfigEntry] = {
         FEATURE_LABELS.get(feature, feature): (config, _popet_spec([feature]))
         for feature in SELECTED_FEATURES
     }
-    by_feature = run_matrix(setup, matrix)
-    table: Dict[str, Dict[str, Dict[str, float]]] = {
-        name: {} for name in setup.workload_names()}
-    for feature_label, results in by_feature.items():
-        for result in results:
-            table[result.workload][feature_label] = {
-                "accuracy": result.predictor_accuracy,
-                "coverage": result.predictor_coverage,
-            }
-    return table
+
+    def reduce(by_feature: Grouped) -> Dict[str, Dict[str, Dict[str, float]]]:
+        table: Dict[str, Dict[str, Dict[str, float]]] = {
+            name: {} for name in workloads}
+        for feature_label, results in by_feature.items():
+            for result in results:
+                table[result.workload][feature_label] = {
+                    "accuracy": result.predictor_accuracy,
+                    "coverage": result.predictor_coverage,
+                }
+        return table
+
+    return plan_matrix("fig11", setup, matrix, reduce)
 
 
-def run_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
-                                     prefetchers: Sequence[str] = ("pythia", "bingo",
-                                                                   "spp", "mlop",
-                                                                   "sms", "none"),
-                                     ) -> Dict[str, Dict[str, float]]:
+def run_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
+                                  **options: Any,
+                                  ) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """Fig. 11's payload: :func:`plan_fig11_feature_variability`, run and reduced."""
+    return run_plan(setup, plan_fig11_feature_variability(setup, **options))
+
+
+def plan_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
+                                      prefetchers: Sequence[str] = ("pythia", "bingo",
+                                                                    "spp", "mlop",
+                                                                    "sms", "none"),
+                                      ) -> SweepSpec:
     """POPET accuracy/coverage when combined with different baseline prefetchers.
 
     Paper figure: Fig. 21.  Sweep axes: baseline prefetcher ∈
@@ -161,20 +192,18 @@ def run_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
     Payload: ``{"<prefetcher>+hermes" | "hermes alone": {accuracy,
     coverage}}`` — suite averages.
     """
-    setup = setup or ExperimentSetup()
     labels = {
         prefetcher: (f"{prefetcher}+hermes" if prefetcher != "none"
                      else "hermes alone")
         for prefetcher in prefetchers
     }
-    by_prefetcher = run_matrix(setup, {
+    return plan_matrix("fig21", setup or ExperimentSetup(), {
         labels[prefetcher]: SystemConfig.with_hermes("popet", prefetcher=prefetcher)
         for prefetcher in prefetchers
-    })
-    return {
-        label: {
-            "accuracy": average(r.predictor_accuracy for r in results),
-            "coverage": average(r.predictor_coverage for r in results),
-        }
-        for label, results in by_prefetcher.items()
-    }
+    }, _suite_averages)
+
+
+def run_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
+                                     **options: Any) -> Dict[str, Dict[str, float]]:
+    """Fig. 21's payload: :func:`plan_fig21_accuracy_by_prefetcher`, run and reduced."""
+    return run_plan(setup, plan_fig21_accuracy_by_prefetcher(setup, **options))

@@ -3,13 +3,13 @@
 Every runner sweeps one system parameter and reports the geomean speedup
 of Pythia alone and Pythia+Hermes over the no-prefetching system, so the
 benchmark output has the same series as the corresponding figure.  Each
-sweep submits its full (parameter x configuration x workload) job matrix
-in one batch, so a parallel backend spreads the whole figure at once.
+plan holds its full (parameter x configuration x workload) job matrix,
+so a parallel backend spreads the whole figure at once.
 
 The ROB-size and LLC-size sweeps (Figs. 19/20) are written against the
 declarative experiment-spec API — the same :class:`~repro.runner.spec.
 ExperimentSpec` a TOML file loads into — so they double as executable
-proof that spec-driven sweeps and hand-built ``run_matrix`` calls are
+proof that spec-driven sweeps and hand-built ``plan_matrix`` calls are
 the same machinery.
 """
 
@@ -21,9 +21,13 @@ from repro.analysis.metrics import average, geomean_speedup
 from repro.experiments.common import (
     ConfigEntry,
     ExperimentSetup,
+    Grouped,
+    MatrixReducer,
     PredictorSpec,
-    run_matrix,
+    plan_matrix,
+    run_plan,
 )
+from repro.runner import SweepSpec
 from repro.runner.spec import Axis, AxisPoint, ExperimentSpec
 from repro.sim.config import SystemConfig
 
@@ -41,15 +45,16 @@ _SYSTEM_AXIS = Axis("system", [
 ])
 
 
-def _run_spec(setup: ExperimentSetup,
-              spec: ExperimentSpec) -> Dict[str, Any]:
-    """Execute a spec through the setup's runner, grouped by label."""
-    return spec.group(setup.runner().run(spec.jobs()))
+def _plan_spec(name: str, spec: ExperimentSpec,
+               reduce: MatrixReducer) -> SweepSpec:
+    """A plan of a spec's jobs whose reducer groups results by label."""
+    return SweepSpec(name=name, jobs=spec.jobs(),
+                     reducer=lambda results: reduce(spec.group(results)))
 
 
-def run_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                     mtps_values: Sequence[int] = (800, 1600, 3200, 6400),
-                                     ) -> Dict[int, Dict[str, float]]:
+def plan_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                      mtps_values: Sequence[int] = (800, 1600, 3200, 6400),
+                                      ) -> SweepSpec:
     """Speedups while scaling main-memory bandwidth (MTPS sweep, Fig. 17a).
 
     Paper figure: Fig. 17a.  Sweep axes: memory bandwidth ∈
@@ -60,7 +65,6 @@ def run_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
     Payload: ``{mtps: {hermes, pythia, "pythia+hermes"}}`` — geomean
     speedups over the same-bandwidth no-prefetching baseline.
     """
-    setup = setup or ExperimentSetup()
     matrix: Dict[str, ConfigEntry] = {}
     for mtps in mtps_values:
         # The no-prefetching baseline must use the same bandwidth.
@@ -72,21 +76,31 @@ def run_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
             SystemConfig.baseline("pythia").with_memory_bandwidth(mtps))
         matrix[f"{mtps}/pythia+hermes"] = SystemConfig.with_hermes(
             "popet", prefetcher="pythia").with_memory_bandwidth(mtps)
-    results = run_matrix(setup, matrix)
-    return {
-        mtps: {
-            label: geomean_speedup(results[f"{mtps}/{label}"],
-                                   results[f"{mtps}/baseline"])
-            for label in ("hermes", "pythia", "pythia+hermes")
+
+    def reduce(results: Grouped) -> Dict[int, Dict[str, float]]:
+        return {
+            mtps: {
+                label: geomean_speedup(results[f"{mtps}/{label}"],
+                                       results[f"{mtps}/baseline"])
+                for label in ("hermes", "pythia", "pythia+hermes")
+            }
+            for mtps in mtps_values
         }
-        for mtps in mtps_values
-    }
+
+    return plan_matrix("fig17a", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                      prefetchers: Sequence[str] = ("pythia", "bingo",
-                                                                    "spp", "mlop", "sms"),
-                                      ) -> Dict[str, Dict[str, float]]:
+def run_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                     **options: Any,
+                                     ) -> Dict[int, Dict[str, float]]:
+    """Fig. 17a's payload: :func:`plan_fig17a_bandwidth_sensitivity`, run and reduced."""
+    return run_plan(setup, plan_fig17a_bandwidth_sensitivity(setup, **options))
+
+
+def plan_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                       prefetchers: Sequence[str] = ("pythia", "bingo",
+                                                                     "spp", "mlop", "sms"),
+                                       ) -> SweepSpec:
     """Hermes-P/O on top of each baseline prefetcher (Fig. 17b).
 
     Paper figure: Fig. 17b.  Sweep axes: prefetcher ∈ ``prefetchers``
@@ -95,7 +109,6 @@ def run_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
     Payload: ``{prefetcher: {prefetcher_only, "prefetcher+hermes-P",
     "prefetcher+hermes-O"}}`` — geomean speedups over no-prefetching.
     """
-    setup = setup or ExperimentSetup()
     matrix: Dict[str, ConfigEntry] = {"baseline": SystemConfig.no_prefetching()}
     for prefetcher in prefetchers:
         matrix[f"{prefetcher}/only"] = SystemConfig.baseline(prefetcher)
@@ -103,24 +116,34 @@ def run_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
             "popet", prefetcher=prefetcher, optimistic=False)
         matrix[f"{prefetcher}/hermes-O"] = SystemConfig.with_hermes(
             "popet", prefetcher=prefetcher, optimistic=True)
-    results = run_matrix(setup, matrix)
-    baseline = results["baseline"]
-    return {
-        prefetcher: {
-            "prefetcher_only": geomean_speedup(results[f"{prefetcher}/only"],
-                                               baseline),
-            "prefetcher+hermes-P": geomean_speedup(
-                results[f"{prefetcher}/hermes-P"], baseline),
-            "prefetcher+hermes-O": geomean_speedup(
-                results[f"{prefetcher}/hermes-O"], baseline),
+
+    def reduce(results: Grouped) -> Dict[str, Dict[str, float]]:
+        baseline = results["baseline"]
+        return {
+            prefetcher: {
+                "prefetcher_only": geomean_speedup(results[f"{prefetcher}/only"],
+                                                   baseline),
+                "prefetcher+hermes-P": geomean_speedup(
+                    results[f"{prefetcher}/hermes-P"], baseline),
+                "prefetcher+hermes-O": geomean_speedup(
+                    results[f"{prefetcher}/hermes-O"], baseline),
+            }
+            for prefetcher in prefetchers
         }
-        for prefetcher in prefetchers
-    }
+
+    return plan_matrix("fig17b", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                         latencies: Sequence[int] = (0, 6, 12, 18, 24),
-                                         ) -> Dict[int, Dict[str, float]]:
+def run_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                      **options: Any,
+                                      ) -> Dict[str, Dict[str, float]]:
+    """Fig. 17b's payload: :func:`plan_fig17b_prefetcher_sensitivity`, run and reduced."""
+    return run_plan(setup, plan_fig17b_prefetcher_sensitivity(setup, **options))
+
+
+def plan_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                          latencies: Sequence[int] = (0, 6, 12, 18, 24),
+                                          ) -> SweepSpec:
     """Speedup as the Hermes request issue latency varies (Fig. 17c).
 
     Paper figure: Fig. 17c.  Sweep axes: Hermes issue latency ∈
@@ -131,7 +154,6 @@ def run_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None
     speedups over no-prefetching (the Pythia series is constant across
     latencies by construction).
     """
-    setup = setup or ExperimentSetup()
     matrix: Dict[str, ConfigEntry] = {
         "baseline": SystemConfig.no_prefetching(),
         "pythia": SystemConfig.baseline("pythia"),
@@ -139,21 +161,32 @@ def run_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None
     for latency in latencies:
         matrix[f"issue{latency}"] = SystemConfig.with_hermes(
             "popet", prefetcher="pythia").with_hermes_issue_latency(latency)
-    results = run_matrix(setup, matrix)
-    baseline = results["baseline"]
-    pythia = geomean_speedup(results["pythia"], baseline)
-    return {
-        latency: {
-            "pythia": pythia,
-            "pythia+hermes": geomean_speedup(results[f"issue{latency}"], baseline),
+
+    def reduce(results: Grouped) -> Dict[int, Dict[str, float]]:
+        baseline = results["baseline"]
+        pythia = geomean_speedup(results["pythia"], baseline)
+        return {
+            latency: {
+                "pythia": pythia,
+                "pythia+hermes": geomean_speedup(results[f"issue{latency}"],
+                                                 baseline),
+            }
+            for latency in latencies
         }
-        for latency in latencies
-    }
+
+    return plan_matrix("fig17c", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                         llc_latencies: Sequence[int] = (40, 55, 65),
+def run_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                         **options: Any,
                                          ) -> Dict[int, Dict[str, float]]:
+    """Fig. 17c's payload: :func:`plan_fig17c_issue_latency_sensitivity`, run and reduced."""
+    return run_plan(setup, plan_fig17c_issue_latency_sensitivity(setup, **options))
+
+
+def plan_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                          llc_latencies: Sequence[int] = (40, 55, 65),
+                                          ) -> SweepSpec:
     """Speedup as the on-chip hierarchy (LLC) access latency varies (Fig. 17d).
 
     Paper figure: Fig. 17d.  Sweep axes: LLC latency ∈
@@ -164,7 +197,6 @@ def run_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None
     Payload: ``{llc_latency: {pythia, "pythia+hermes"}}`` — geomean
     speedups over the same-latency no-prefetching baseline.
     """
-    setup = setup or ExperimentSetup()
     matrix: Dict[str, ConfigEntry] = {}
     for latency in llc_latencies:
         matrix[f"{latency}/baseline"] = (
@@ -173,22 +205,33 @@ def run_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None
             SystemConfig.baseline("pythia").with_llc_latency(latency))
         matrix[f"{latency}/pythia+hermes"] = SystemConfig.with_hermes(
             "popet", prefetcher="pythia").with_llc_latency(latency)
-    results = run_matrix(setup, matrix)
-    return {
-        latency: {
-            "pythia": geomean_speedup(results[f"{latency}/pythia"],
-                                      results[f"{latency}/baseline"]),
-            "pythia+hermes": geomean_speedup(results[f"{latency}/pythia+hermes"],
-                                             results[f"{latency}/baseline"]),
+
+    def reduce(results: Grouped) -> Dict[int, Dict[str, float]]:
+        return {
+            latency: {
+                "pythia": geomean_speedup(results[f"{latency}/pythia"],
+                                          results[f"{latency}/baseline"]),
+                "pythia+hermes": geomean_speedup(
+                    results[f"{latency}/pythia+hermes"],
+                    results[f"{latency}/baseline"]),
+            }
+            for latency in llc_latencies
         }
-        for latency in llc_latencies
-    }
+
+    return plan_matrix("fig17d", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
-                                    thresholds: Sequence[int] = (-30, -26, -22, -18,
-                                                                 -10, -2),
-                                    ) -> Dict[int, Dict[str, float]]:
+def run_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                         **options: Any,
+                                         ) -> Dict[int, Dict[str, float]]:
+    """Fig. 17d's payload: :func:`plan_fig17d_cache_latency_sensitivity`, run and reduced."""
+    return run_plan(setup, plan_fig17d_cache_latency_sensitivity(setup, **options))
+
+
+def plan_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
+                                     thresholds: Sequence[int] = (-30, -26, -22, -18,
+                                                                  -10, -2),
+                                     ) -> SweepSpec:
     """POPET accuracy/coverage and Hermes speedup vs the activation threshold.
 
     Paper figure: Fig. 17e.  Sweep axes: POPET activation threshold ∈
@@ -199,29 +242,38 @@ def run_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
     Payload: ``{threshold: {accuracy, coverage, speedup}}`` — suite
     averages.
     """
-    setup = setup or ExperimentSetup()
     config = SystemConfig.with_hermes("popet", prefetcher="pythia")
     matrix: Dict[str, ConfigEntry] = {"baseline": SystemConfig.no_prefetching()}
     for threshold in thresholds:
         matrix[f"thr{threshold}"] = (
             config, PredictorSpec("popet", {"activation_threshold": threshold}))
-    results = run_matrix(setup, matrix)
-    baseline_by_workload = {r.workload: r for r in results["baseline"]}
-    table: Dict[int, Dict[str, float]] = {}
-    for threshold in thresholds:
-        rs = results[f"thr{threshold}"]
-        table[threshold] = {
-            "accuracy": average(r.predictor_accuracy for r in rs),
-            "coverage": average(r.predictor_coverage for r in rs),
-            "speedup": average(
-                r.speedup_over(baseline_by_workload[r.workload]) for r in rs),
-        }
-    return table
+
+    def reduce(results: Grouped) -> Dict[int, Dict[str, float]]:
+        baseline_by_workload = {r.workload: r for r in results["baseline"]}
+        table: Dict[int, Dict[str, float]] = {}
+        for threshold in thresholds:
+            rs = results[f"thr{threshold}"]
+            table[threshold] = {
+                "accuracy": average(r.predictor_accuracy for r in rs),
+                "coverage": average(r.predictor_coverage for r in rs),
+                "speedup": average(
+                    r.speedup_over(baseline_by_workload[r.workload]) for r in rs),
+            }
+        return table
+
+    return plan_matrix("fig17e", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                   rob_sizes: Sequence[int] = (256, 512, 1024),
-                                   ) -> Dict[int, Dict[str, float]]:
+def run_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
+                                    **options: Any,
+                                    ) -> Dict[int, Dict[str, float]]:
+    """Fig. 17e's payload: :func:`plan_fig17e_activation_threshold`, run and reduced."""
+    return run_plan(setup, plan_fig17e_activation_threshold(setup, **options))
+
+
+def plan_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                    rob_sizes: Sequence[int] = (256, 512, 1024),
+                                    ) -> SweepSpec:
     """Speedup sensitivity to the reorder-buffer size (Fig. 19).
 
     Paper figure: Fig. 19.  Sweep axes: ROB size ∈ ``rob_sizes`` ×
@@ -241,26 +293,36 @@ def run_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
                            for rob in rob_sizes])],
         workloads=setup.workload_names(),
         accesses=setup.num_accesses)
-    results = _run_spec(setup, spec)
-    return {
-        rob: {
-            label: geomean_speedup(results[f"{label}/rob{rob}"],
-                                   results[f"baseline/rob{rob}"])
-            for label in ("hermes", "pythia", "pythia+hermes")
+
+    def reduce(results: Grouped) -> Dict[int, Dict[str, float]]:
+        return {
+            rob: {
+                label: geomean_speedup(results[f"{label}/rob{rob}"],
+                                       results[f"baseline/rob{rob}"])
+                for label in ("hermes", "pythia", "pythia+hermes")
+            }
+            for rob in rob_sizes
         }
-        for rob in rob_sizes
-    }
+
+    return _plan_spec("fig19", spec, reduce)
 
 
-def run_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                   llc_sizes_mb: Sequence[float] = (3, 6, 12),
-                                   ) -> Dict[float, Dict[str, float]]:
+def run_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                   **options: Any,
+                                   ) -> Dict[int, Dict[str, float]]:
+    """Fig. 19's payload: :func:`plan_fig19_rob_size_sensitivity`, run and reduced."""
+    return run_plan(setup, plan_fig19_rob_size_sensitivity(setup, **options))
+
+
+def plan_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                    llc_sizes_mb: Sequence[float] = (3, 6, 12),
+                                    ) -> SweepSpec:
     """Speedup sensitivity to the per-core LLC size (Fig. 20).
 
     Paper figure: Fig. 20.  Sweep axes: LLC size ∈ ``llc_sizes_mb`` ×
     system ∈ {baseline, Hermes, Pythia, Pythia+Hermes} × the setup's
     workload suite — spec-driven like
-    :func:`run_fig19_rob_size_sensitivity`, with the LLC capacity
+    :func:`plan_fig19_rob_size_sensitivity`, with the LLC capacity
     expressed as the ``hierarchy.llc.size_bytes`` override a TOML axis
     would use.
 
@@ -277,12 +339,22 @@ def run_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
                   for size_mb in llc_sizes_mb])],
         workloads=setup.workload_names(),
         accesses=setup.num_accesses)
-    results = _run_spec(setup, spec)
-    return {
-        size_mb: {
-            label: geomean_speedup(results[f"{label}/llc{size_mb}MB"],
-                                   results[f"baseline/llc{size_mb}MB"])
-            for label in ("hermes", "pythia", "pythia+hermes")
+
+    def reduce(results: Grouped) -> Dict[float, Dict[str, float]]:
+        return {
+            size_mb: {
+                label: geomean_speedup(results[f"{label}/llc{size_mb}MB"],
+                                       results[f"baseline/llc{size_mb}MB"])
+                for label in ("hermes", "pythia", "pythia+hermes")
+            }
+            for size_mb in llc_sizes_mb
         }
-        for size_mb in llc_sizes_mb
-    }
+
+    return _plan_spec("fig20", spec, reduce)
+
+
+def run_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
+                                   **options: Any,
+                                   ) -> Dict[float, Dict[str, float]]:
+    """Fig. 20's payload: :func:`plan_fig20_llc_size_sensitivity`, run and reduced."""
+    return run_plan(setup, plan_fig20_llc_size_sensitivity(setup, **options))

@@ -83,11 +83,18 @@ class Registry(Generic[T]):
         Unknown names raise :class:`UnknownComponentError` (a
         ``KeyError``) listing every registered name.
         """
+        return self.factory(name)(**options)
+
+    def factory(self, name: str) -> Callable[..., T]:
+        """The class or builder registered under ``name``, not called.
+
+        Unknown names raise :class:`UnknownComponentError`, as in
+        :meth:`create`.
+        """
         try:
-            factory = self._factories[name.lower()]
+            return self._factories[name.lower()]
         except KeyError:
             raise UnknownComponentError(self.kind, name, self.names()) from None
-        return factory(**options)
 
     def names(self) -> List[str]:
         """All registered names, sorted."""

@@ -24,7 +24,7 @@ the CLI builds its ``--figure`` choices from :data:`FIGURE_RUNNERS` at
 parse time, and ``tools/gen_experiments_index.py`` regenerates the
 EXPERIMENTS.md index from these specs, neither of which should pay for
 the simulator import chain.  Runner modules load lazily inside
-:meth:`FigureSpec.run`.
+:meth:`FigureSpec.run` and :meth:`FigureSpec.plan`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.report.schema import Cell, FigureResult, x_label_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps imports light
     from repro.experiments.common import ExperimentSetup
+    from repro.runner.job import SweepSpec
 
 #: The payload shapes normalize() understands (see module docstring).
 SHAPES = ("flat", "xs", "sx", "nested_xs", "nested_sx")
@@ -93,9 +94,26 @@ class FigureSpec:
             return runner()
         return runner(setup=setup) if setup is not None else runner()
 
-    def collect(self, setup: Optional["ExperimentSetup"] = None) -> FigureResult:
-        """Run the figure and normalize its payload in one step."""
-        return self.normalize(self.run(setup))
+    def plan(self, setup: Optional["ExperimentSetup"] = None) -> "SweepSpec":
+        """The figure's jobs and reducer, from its ``plan_*`` function.
+
+        The plan sits next to the runner in :mod:`repro.experiments`
+        (``run_fig12_...`` -> ``plan_fig12_...``).  A figure without
+        one, such as the closed-form storage tables, plans no jobs and
+        its reducer calls the runner.
+        """
+        import repro.experiments as experiments
+        from repro.runner.job import SweepSpec
+        plan = getattr(experiments,
+                       "plan_" + self.runner_name[len("run_"):], None)
+        if plan is None:
+            return SweepSpec(self.figure_id, [],
+                             lambda results: self.run(setup))
+        return plan(setup=setup)
+
+    def collect(self, plan: "SweepSpec", results: List[Any]) -> FigureResult:
+        """Reduce a plan's results and normalize the payload in one step."""
+        return self.normalize(plan.reduce(results))
 
     # ------------------------------------------------------------------ #
 

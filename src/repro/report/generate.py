@@ -8,18 +8,19 @@ and finally an ``index.md`` linking every artifact.  Everything in the
 output directory is deterministic text — no timestamps, no hostnames —
 so two report runs over the same results diff clean.
 
-Execution rides the existing runner stack: the caller's
-:class:`~repro.experiments.common.ExperimentSetup` decides serial vs
-process-pool fan-out, and when a ``result_cache_dir`` is set the report
-holds **one** :class:`~repro.runner.cache.ResultCache` across all
-figures (rather than one per sweep), so cross-figure duplicate jobs
-(e.g. the Pythia baseline suite, which a dozen figures share) are
-computed once, and a re-run against a warm cache directory executes no
-simulation at all — the cache hit/miss counters in the returned
-:class:`ReportSummary` prove it.  The cache is addressed by key, and
-each sweep's runner keys every job once and runs each distinct key
-once, so a warm re-run costs one key and one cache read per job, plus
-the rendering.
+A report runs in three stages: plan, execute, then reduce and render.
+Every requested figure plans its jobs (:meth:`FigureSpec.plan`), and
+all of them run as **one** batch through one runner built from the
+caller's :class:`~repro.experiments.common.ExperimentSetup`: one
+process pool under ``parallel=True``, and one
+:class:`~repro.runner.cache.ResultCache` when a ``result_cache_dir``
+is set.  The runner keys the batch once and looks up and executes each
+distinct key once, so cross-figure duplicate jobs (e.g. the Pythia
+baseline suite, which a dozen figures share) run once, and a re-run
+against a warm cache directory executes no simulation at all — the
+cache hit/miss counters in the returned :class:`ReportSummary` prove
+it.  Each figure then reduces, normalizes and renders its slice of the
+results.
 """
 
 from __future__ import annotations
@@ -34,44 +35,10 @@ from repro.experiments.common import ExperimentSetup
 from repro.report.figures import FigureSpec, figure_ids, get_figure
 from repro.report.renderers import ReportRenderer, make_renderer, renderer_names
 from repro.report.schema import FigureResult
-from repro.runner import JobRunner, ResultCache
+from repro.runner import SweepError, SweepReport
 
 #: Progress callback: called with one human-readable line per event.
 LogFn = Callable[[str], None]
-
-
-class _SharedCacheSetup(ExperimentSetup):
-    """An :class:`ExperimentSetup` whose runners share one ResultCache.
-
-    ``ExperimentSetup.runner()`` builds a fresh cache per sweep, which
-    is correct but resets the hit/miss counters each figure; the report
-    wants one cache (and one set of counters) across the whole run.
-    """
-
-    #: The report-wide cache (set by :meth:`wrap`; None = caching off).
-    shared_cache: Optional[ResultCache] = None
-
-    def runner(self) -> JobRunner:
-        """A job runner backed by the report-wide shared cache."""
-        return JobRunner(backend=self.make_backend(),
-                         result_cache=self.shared_cache,
-                         retry_policy=self.retry_policy(),
-                         on_error=self.on_error)
-
-    @classmethod
-    def wrap(cls, setup: ExperimentSetup) -> "_SharedCacheSetup":
-        """A shared-cache copy of ``setup`` (the original is untouched).
-
-        Copies every dataclass field, so knobs added to
-        ``ExperimentSetup`` later flow through without touching this
-        method.
-        """
-        wrapped = cls(**{field.name: getattr(setup, field.name)
-                         for field in dataclasses.fields(ExperimentSetup)})
-        wrapped.shared_cache = (ResultCache(setup.result_cache_dir)
-                                if setup.result_cache_dir is not None
-                                else None)
-        return wrapped
 
 
 @dataclass
@@ -82,12 +49,15 @@ class FigureArtifact:
     title: str
     #: Renderer name -> written file path (plus the ``json`` document).
     files: Dict[str, Path]
+    #: Seconds to reduce, normalize and render (the jobs run as one
+    #: batch before any figure, so no figure's share of them is known).
     elapsed_s: float
 
 
 @dataclass
 class FigureFailure:
-    """A figure the report skipped because its sweep could not finish."""
+    """A figure the report skipped: a job of its plan failed, or its
+    reduction did."""
 
     figure_id: str
     error: str
@@ -100,7 +70,7 @@ class ReportSummary:
     out_dir: Path
     artifacts: List[FigureArtifact] = field(default_factory=list)
     #: Figures skipped under ``on_error="skip"`` (always empty under
-    #: the default ``"raise"`` — the first failure propagates instead).
+    #: the default ``"raise"`` — the failure propagates instead).
     failures: List[FigureFailure] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
@@ -160,13 +130,17 @@ def generate_report(figures: Optional[Sequence[str]] = None,
     order; an explicitly empty list is an error, never "everything");
     duplicates collapse to one run, and unknown ids fail fast before
     any simulation runs.  ``formats`` selects renderers by registry
-    name (default: all).  ``on_error="skip"`` degrades gracefully: a
-    figure whose sweep cannot finish (even after the setup's retries)
-    is skipped and listed — in the summary's ``failures`` and in a
-    "Skipped figures" index section — instead of aborting the report;
+    name (default: all).  ``on_error`` (not the setup's) decides what
+    failed jobs do.  Under ``"raise"`` the batch raises
+    :class:`~repro.runner.status.SweepError` once every job is
+    terminal, before any figure renders.  ``"skip"`` degrades
+    gracefully: a figure whose slice of the batch holds a failed job
+    (even after the setup's retries), or whose reduction fails, is
+    skipped and listed — in the summary's ``failures`` and in a
+    "Skipped figures" index section — while the other figures render;
     every job that *did* finish is already checkpointed, so a re-run
     against the same cache resumes from the missing cells.  Returns a
-    :class:`ReportSummary` with per-figure artifacts and the aggregate
+    :class:`ReportSummary` with per-figure artifacts and the
     result-cache counters.
     """
     if on_error not in ("raise", "skip"):
@@ -183,7 +157,7 @@ def generate_report(figures: Optional[Sequence[str]] = None,
                                for figure_id in requested]
     renderers = [make_renderer(name)
                  for name in (formats if formats else renderer_names())]
-    setup = _SharedCacheSetup.wrap(setup or ExperimentSetup())
+    setup = setup or ExperimentSetup()
     emit: LogFn = log or (lambda line: None)
 
     out_path = Path(out_dir)
@@ -191,11 +165,20 @@ def generate_report(figures: Optional[Sequence[str]] = None,
 
     summary = ReportSummary(out_dir=out_path)
     started = time.perf_counter()
-    for spec in specs:
+    plans = [spec.plan(setup) for spec in specs]
+    jobs = [job for plan in plans for job in plan.jobs]
+    emit(f"running {len(jobs)} job(s) of {len(specs)} figure(s) ...")
+    runner = dataclasses.replace(setup, on_error=on_error).runner()
+    results, report = runner.run_report(jobs, "report")
+    end = 0
+    for spec, plan in zip(specs, plans):
+        start, end = end, end + len(plan.jobs)
         figure_started = time.perf_counter()
-        emit(f"{spec.figure_id}: running {spec.runner_name} ...")
+        outcomes = report.outcomes[start:end]
         try:
-            result: FigureResult = spec.collect(setup)
+            if any(not outcome.ok for outcome in outcomes):
+                raise SweepError(SweepReport(spec.figure_id, outcomes))
+            result: FigureResult = spec.collect(plan, results[start:end])
         except Exception as exc:  # noqa: BLE001 — degrade per figure
             if on_error == "raise":
                 raise
@@ -221,9 +204,10 @@ def generate_report(figures: Optional[Sequence[str]] = None,
                                                   renderers,
                                                   summary.failures),
                                   encoding="utf-8")
-    if setup.shared_cache is not None:
-        summary.cache_hits = setup.shared_cache.hits
-        summary.cache_misses = setup.shared_cache.misses
+    cache = runner.result_cache
+    if cache is not None:
+        summary.cache_hits = cache.hits
+        summary.cache_misses = cache.misses
         emit(f"result cache: {summary.cache_hits} hit(s), "
              f"{summary.cache_misses} miss(es)")
     summary.elapsed_s = time.perf_counter() - started

@@ -35,7 +35,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.execute import run_job_attempt
-from repro.runner.job import SimJob
+from repro.runner.job import SimJob, job_keys
 from repro.runner.status import JobOutcome, JobTimeoutError, RetryPolicy
 
 #: Callback fired in the parent the moment one job reaches a terminal
@@ -79,22 +79,31 @@ class ExecutionBackend(ABC):
     def run_outcomes(self, jobs: Sequence[SimJob],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
+                     keys: Optional[Sequence[str]] = None,
                      ) -> List[JobOutcome]:
         """Execute every job, returning one outcome per job in job order.
 
         Each job runs in isolation under ``policy`` (a default
         :class:`RetryPolicy` when ``None``) until it reaches a terminal
-        outcome; ``on_complete`` fires as each one does.
+        outcome; ``on_complete`` fires as each one does.  ``keys`` are
+        the jobs' keys when the caller holds them (the runner does);
+        ``None`` keys the batch here.
         """
 
 
-def _attempt_loop(index: int, job: SimJob, policy: RetryPolicy) -> JobOutcome:
+def resolve_keys(jobs: Sequence[SimJob],
+                 keys: Optional[Sequence[str]]) -> List[str]:
+    """``keys`` as a list, or the jobs' keys when the caller has none."""
+    return list(keys) if keys is not None else job_keys(jobs)
+
+
+def _attempt_loop(index: int, key: str, job: SimJob,
+                  policy: RetryPolicy) -> JobOutcome:
     """Run one job in-process under ``policy`` until terminal.
 
     The serial analogue of the pool driver: same retry/backoff/timeout
     semantics, same outcome vocabulary.
     """
-    key = job.key()
     started = time.perf_counter()
     attempt = 0
     while True:
@@ -128,11 +137,13 @@ class SerialBackend(ExecutionBackend):
     def run_outcomes(self, jobs: Sequence[SimJob],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
+                     keys: Optional[Sequence[str]] = None,
                      ) -> List[JobOutcome]:
         policy = policy or RetryPolicy()
         outcomes: List[JobOutcome] = []
-        for index, job in enumerate(jobs):
-            outcome = _attempt_loop(index, job, policy)
+        keys = resolve_keys(jobs, keys)
+        for index, (key, job) in enumerate(zip(keys, jobs)):
+            outcome = _attempt_loop(index, key, job, policy)
             outcomes.append(outcome)
             if on_complete is not None:
                 on_complete(job, outcome)
@@ -162,15 +173,18 @@ class ProcessPoolBackend(ExecutionBackend):
     def run_outcomes(self, jobs: Sequence[SimJob],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
+                     keys: Optional[Sequence[str]] = None,
                      ) -> List[JobOutcome]:
         jobs = list(jobs)
         policy = policy or RetryPolicy()
         if not jobs:
             return []
+        keys = resolve_keys(jobs, keys)
         workers = min(self.max_workers or os.cpu_count() or 1, len(jobs))
         if workers <= 1 or len(jobs) <= 1:
-            return SerialBackend().run_outcomes(jobs, policy, on_complete)
-        driver = _PoolDriver(jobs, policy, workers,
+            return SerialBackend().run_outcomes(jobs, policy, on_complete,
+                                                keys)
+        driver = _PoolDriver(jobs, keys, policy, workers,
                              window=workers * self.window_per_worker,
                              on_complete=on_complete)
         return driver.run()
@@ -189,15 +203,16 @@ class _PoolDriver:
     #: payloads where SIGALRM cannot fire).
     GRACE = 5.0
 
-    def __init__(self, jobs: List[SimJob], policy: RetryPolicy, workers: int,
-                 window: int, on_complete: Optional[CompletionFn]) -> None:
+    def __init__(self, jobs: List[SimJob], keys: List[str],
+                 policy: RetryPolicy, workers: int, window: int,
+                 on_complete: Optional[CompletionFn]) -> None:
         self.jobs = jobs
+        self.keys = keys
         self.policy = policy
         self.workers = workers
         self.window = max(window, workers)
         self.on_complete = on_complete
         self.outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-        self.keys = [job.key() for job in jobs]
         #: (index, attempt) pairs eligible for immediate submission.
         self.ready: deque = deque((i, 1) for i in range(len(jobs)))
         #: Pool-break victims awaiting solo re-runs for attribution:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -173,16 +174,66 @@ class SimJob:
         (see :func:`repro.workloads.suite.make_trace`), and a format
         bump changes what those files decode to.  For file workloads the
         file's identity (size + mtime) is folded in as well, so
-        overwriting a trace file invalidates its cached results.
+        overwriting a trace file invalidates its cached results.  The
+        one-job case of :func:`job_keys`.
         """
-        payload = {"schema": JOB_SCHEMA_VERSION,
-                   "config_schema": CONFIG_SCHEMA_VERSION,
-                   "trace_format": TRACE_FORMAT_VERSION,
-                   "traces": _workload_fingerprint(self.workload),
-                   "job": _canonical(self)}
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
-        return digest.hexdigest()
+        return job_keys([self])[0]
+
+
+#: The fields of a job's key payload besides its config, and a getter
+#: of their values as one tuple.
+_OTHER_FIELDS = tuple(name for name in field_names(SimJob) if name != "config")
+_other_values = operator.attrgetter(*_OTHER_FIELDS)
+
+
+def _json(value: Any) -> str:
+    """Sort-keyed, compact JSON: the text a job key hashes."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def job_keys(jobs: Sequence[SimJob]) -> List[str]:
+    """The :meth:`SimJob.key` of every job, serialising each config once.
+
+    A key is the sha256 of the sort-keyed JSON text of ``{"schema",
+    "config_schema", "trace_format", "traces", "job"}``.  Sort-keyed
+    JSON is compositional, and ``config`` sorts first among a job's
+    fields, so that text is a fixed head, the config's own text, and a
+    tail holding the other fields and the trace fingerprint.  The jobs
+    of a batch share objects: a figure runs one config object over its
+    whole suite, and one workload name, sizing and predictor recipe
+    under many configs.  So a batch serialises each distinct config
+    object once and hashes the head and its text once, builds each
+    tail once per distinct set of field objects (fingerprinting its
+    workload when the batch is keyed), and finishes each job's hash
+    from a copy of its config's.
+    """
+    head = f'{{"config_schema":{_json(CONFIG_SCHEMA_VERSION)},"job":{{"config":'
+    versions = (f',"schema":{_json(JOB_SCHEMA_VERSION)}'
+                f',"trace_format":{_json(TRACE_FORMAT_VERSION)},"traces":')
+    # Hash states and texts by the ids of the objects they serialise;
+    # each entry holds those objects, so no id is reused meanwhile.
+    configs: Dict[int, Tuple[SystemConfig, Any]] = {}
+    tails: Dict[Tuple[int, ...], Tuple[Tuple[Any, ...], bytes]] = {}
+    keys: List[str] = []
+    for job in jobs:
+        config = configs.get(id(job.config))
+        if config is None:
+            text = head + _json(_canonical(job.config))
+            config = configs[id(job.config)] = (
+                job.config, hashlib.sha256(text.encode()))
+        values = _other_values(job)
+        ids = tuple(map(id, values))
+        tail = tails.get(ids)
+        if tail is None:
+            others = _json({name: _canonical(value)
+                            for name, value in zip(_OTHER_FIELDS, values)})
+            text = ("," + others[1:] + versions
+                    + _json(_workload_fingerprint(job.workload)) + "}")
+            tail = tails[ids] = (values, text.encode())
+        digest = config[1].copy()
+        digest.update(tail[1])
+        keys.append(digest.hexdigest())
+    return keys
 
 
 def _workload_fingerprint(workload: Union[str, Tuple[str, ...]]) -> List[Any]:

@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.backends import ExecutionBackend, SerialBackend
 from repro.runner.cache import ResultCache
-from repro.runner.job import SimJob, SweepSpec
+from repro.runner.job import SimJob, SweepSpec, job_keys
 from repro.runner.status import JobOutcome, RetryPolicy, SweepError, SweepReport
 
 #: Accepted partial-result policies.
@@ -17,16 +17,18 @@ ON_ERROR_MODES = ("raise", "skip")
 class JobRunner:
     """Executes job lists, consulting the result cache before the backend.
 
-    Each job is keyed once per batch; the key serves its cache lookup
-    and, on a hit, its outcome.  Jobs that share a key are looked up
-    and executed once, and every index holding the key gets the
-    outcome.  Cache hits never reach the backend; the distinct misses
-    go to the backend as one batch (so a process pool sees the whole
-    remaining sweep at once) — but each result is **checkpointed to the
-    cache, under its outcome's key, the moment its job completes**, not
-    when the batch returns.  Kill the process mid-sweep and every
-    finished job survives: re-running the same sweep executes only the
-    missing jobs.  Results always come back in job order.
+    Each batch is keyed once (:func:`~repro.runner.job.job_keys`); the
+    keys serve the cache lookups, the backend and the outcomes.  Jobs
+    that share a key are looked up and executed once: the first index
+    holding the key gets the outcome, and every other index is served
+    that result as a cached outcome with no attempts.  Cache hits never
+    reach the backend; the distinct misses go to the backend as one
+    batch (so a process pool sees the whole remaining sweep at once) —
+    but each result is **checkpointed to the cache, under its outcome's
+    key, the moment its job completes**, not when the batch returns.
+    Kill the process mid-sweep and every finished job survives:
+    re-running the same sweep executes only the missing jobs.  Results
+    always come back in job order.
 
     ``retry_policy`` sets the per-job attempt budget / backoff / timeout
     the backend enforces; ``on_error`` decides what a sweep with failed
@@ -67,8 +69,8 @@ class JobRunner:
         results: List[Any] = [None] * len(jobs)
         outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
         indices_for: Dict[str, List[int]] = {}
-        for index, job in enumerate(jobs):
-            indices_for.setdefault(job.key(), []).append(index)
+        for index, key in enumerate(job_keys(jobs)):
+            indices_for.setdefault(key, []).append(index)
         pending_keys: List[str] = []
         for key, indices in indices_for.items():
             cached = (self.result_cache.get(key)
@@ -92,11 +94,17 @@ class JobRunner:
 
             pending = [jobs[indices_for[key][0]] for key in pending_keys]
             computed = self.backend.run_outcomes(pending, self.retry_policy,
-                                                 on_complete=checkpoint)
+                                                 on_complete=checkpoint,
+                                                 keys=pending_keys)
             for key, outcome in zip(pending_keys, computed):
                 # The backend indexed the sub-batch; re-index per job.
-                for index in indices_for[key]:
-                    outcomes[index] = dataclasses.replace(outcome, index=index)
+                first, *repeats = indices_for[key]
+                outcomes[first] = dataclasses.replace(outcome, index=first)
+                results[first] = outcome.result
+                for index in repeats:
+                    outcomes[index] = dataclasses.replace(
+                        outcome, index=index, attempts=0, duration_s=0.0,
+                        cached=outcome.ok)
                     results[index] = outcome.result
 
         report = SweepReport(name=name, outcomes=list(outcomes))
@@ -106,4 +114,4 @@ class JobRunner:
 
     def run_sweep(self, spec: SweepSpec) -> Any:
         """Execute a sweep's jobs and apply its reducer."""
-        return spec.reduce(self.run(spec.jobs))
+        return spec.reduce(self.run_report(spec.jobs, spec.name)[0])

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.config.io import load_document
 from repro.config.overrides import apply_overrides

@@ -30,7 +30,7 @@ generate/convert/inspect`` from the shell.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.registry import Registry
 from repro.workloads.formats.base import (
@@ -76,12 +76,11 @@ def detect_format(path: PathLike) -> str:
     if text == STDIO_PATH:
         raise ValueError(
             "cannot infer a trace format for stdio; pass the format name")
-    for name in trace_formats:
-        fmt = trace_formats.create(name)
-        if any(text.endswith(ext) for ext in fmt.extensions):
+    extensions = _format_extensions()
+    for name, claimed in extensions.items():
+        if text.endswith(claimed):
             return name
-    known = [ext for name in trace_formats
-             for ext in trace_formats.create(name).extensions]
+    known = [ext for claimed in extensions.values() for ext in claimed]
     raise ValueError(
         f"cannot infer trace format from {path!s}; "
         f"known extensions: {sorted(known)} (optionally + .gz)")
@@ -105,9 +104,19 @@ def is_trace_path(name: PathLike) -> bool:
     if "/" in text or "\\" in text:
         return True
     stripped = strip_gzip_suffix(text)
-    return any(stripped.endswith(ext)
-               for fmt_name in trace_formats
-               for ext in trace_formats.create(fmt_name).extensions)
+    return any(stripped.endswith(claimed)
+               for claimed in _format_extensions().values())
+
+
+def _format_extensions() -> Dict[str, Tuple[str, ...]]:
+    """Each registered format's extensions, read off its class.
+
+    ``extensions`` is a class attribute, so no format is built to read
+    it: :func:`is_trace_path` runs for every workload name a job key
+    fingerprints.
+    """
+    return {name: trace_formats.factory(name).extensions
+            for name in trace_formats}
 
 
 def write_trace(trace: Trace, path: PathLike,

@@ -352,15 +352,82 @@ class TestGenerateReport:
                 assert twin.read_bytes() == path.read_bytes(), path.name
 
     def test_cross_figure_job_sharing(self, tmp_path):
-        # fig03 and fig05 both run the Pythia baseline suite; with a
-        # shared cache the second figure is served from the first's jobs.
+        # fig03 and fig05 both run the Pythia baseline suite; the report
+        # runs both plans as one batch, so each distinct job is looked
+        # up, executed and cached once.
         from repro.experiments.common import ExperimentSetup
         from repro.report.generate import generate_report
+        from repro.runner import ResultCache
         setup = ExperimentSetup(num_accesses=600, per_category=1,
                                 result_cache_dir=tmp_path / "cache")
-        summary = generate_report(["fig03", "fig05"],
-                                  out_dir=tmp_path / "report", setup=setup)
-        assert summary.cache_hits > 0
+        jobs = [job for fid in ("fig03", "fig05")
+                for job in get_figure(fid).plan(setup).jobs]
+        distinct = len({job.key() for job in jobs})
+        assert distinct < len(jobs)
+        cold = generate_report(["fig03", "fig05"],
+                               out_dir=tmp_path / "cold", setup=setup)
+        assert cold.cache_hits == 0
+        assert cold.cache_misses == distinct == len(
+            ResultCache(tmp_path / "cache"))
+        warm = generate_report(["fig03", "fig05"],
+                               out_dir=tmp_path / "warm", setup=setup)
+        assert (warm.cache_hits, warm.cache_misses) == (distinct, 0)
+
+    def test_one_backend_batch_for_all_figures(self, tmp_path, monkeypatch):
+        from repro.experiments.common import ExperimentSetup
+        from repro.report.generate import generate_report
+        from repro.runner import SerialBackend
+        batches = []
+        run_outcomes = SerialBackend.run_outcomes
+
+        def counted(self, jobs, *args, **kwargs):
+            batches.append(len(jobs))
+            return run_outcomes(self, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(SerialBackend, "run_outcomes", counted)
+        setup = ExperimentSetup(num_accesses=600, per_category=1,
+                                categories=["Ligra", "SPEC06"])
+        figures = ["fig02", "fig03", "fig05", "fig15", "table3"]
+        summary = generate_report(figures, out_dir=tmp_path / "report",
+                                  setup=setup)
+        assert [a.figure_id for a in summary.artifacts] == figures
+        distinct = {job.key() for fid in figures
+                    for job in get_figure(fid).plan(setup).jobs}
+        assert batches == [len(distinct)]
+
+    def test_skip_drops_exactly_the_figures_holding_a_failed_job(
+            self, tmp_path, monkeypatch):
+        from repro.experiments.common import ExperimentSetup
+        from repro.report.generate import generate_report
+        from repro.runner import FaultPlan, FaultSpec, SimJob, SweepError
+        from repro.runner.faults import FAULTS_ENV
+        from repro.sim.config import SystemConfig
+        setup = ExperimentSetup(num_accesses=600, per_category=1,
+                                categories=["Ligra", "SPEC06"])
+        doomed = SimJob(config=SystemConfig.no_prefetching(),
+                        workload=setup.workload_names()[0],
+                        num_accesses=600).key()
+        monkeypatch.setenv(FAULTS_ENV, FaultPlan(
+            faults={doomed: FaultSpec(kind="raise")}).to_json())
+        figures = ["fig02", "fig03", "fig15", "table3"]
+        holding = [fid for fid in figures if doomed in {
+            job.key() for job in get_figure(fid).plan(setup).jobs}]
+        assert holding == ["fig02", "fig15"]
+        # Under "raise" the batch fails before any figure renders.
+        with pytest.raises(SweepError):
+            generate_report(figures, out_dir=tmp_path / "raised",
+                            setup=setup)
+        assert not list((tmp_path / "raised").iterdir())
+        out = tmp_path / "report"
+        summary = generate_report(figures, out_dir=out, setup=setup,
+                                  on_error="skip")
+        assert [f.figure_id for f in summary.failures] == holding
+        assert all("FaultError" in f.error for f in summary.failures)
+        assert [a.figure_id for a in summary.artifacts] == ["fig03",
+                                                            "table3"]
+        assert sorted(path.name for path in out.glob("*.json")) == [
+            "fig03.json", "table3.json"]
+        assert "## Skipped figures" in (out / "index.md").read_text()
 
     def test_unknown_figure_fails_before_running(self, tmp_path):
         from repro.report.generate import generate_report

@@ -1,8 +1,14 @@
 """Tests for the experiment orchestration layer (repro.runner)."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
+
+import repro.runner.job as job_module
+import repro.runner.runner as runner_module
+from repro.config.schema import CONFIG_SCHEMA_VERSION
 
 from repro.cpu.core import CoreStats
 from repro.experiments.common import ExperimentSetup, run_matrix
@@ -19,7 +25,10 @@ from repro.runner import (
     SimJob,
     SweepSpec,
 )
+from repro.dram.config import DRAMConfig
+from repro.runner.job import JOB_SCHEMA_VERSION
 from repro.sim.config import SystemConfig
+from repro.workloads.formats import TRACE_FORMAT_VERSION, write_trace
 from repro.workloads.suite import make_trace, trace_cache
 
 #: Four workloads spanning regular and irregular behaviour.
@@ -146,9 +155,9 @@ class _CountingBackend(ExecutionBackend):
         self.inner = inner or SerialBackend()
         self.executed = 0
 
-    def run_outcomes(self, jobs, policy=None, on_complete=None):
+    def run_outcomes(self, jobs, policy=None, on_complete=None, keys=None):
         self.executed += len(jobs)
-        return self.inner.run_outcomes(jobs, policy, on_complete)
+        return self.inner.run_outcomes(jobs, policy, on_complete, keys)
 
 
 def test_result_cache_short_circuits_backend(tmp_path):
@@ -164,7 +173,8 @@ def test_result_cache_short_circuits_backend(tmp_path):
     assert len(runner.result_cache) == 2
 
     # A batch that repeats a job executes it once, on either local
-    # backend, and every index still gets its result and outcome.
+    # backend, and every index still gets its result and outcome: the
+    # repeat is served the executed result, as a cache hit would be.
     a, b = jobs
     for name, inner in (("serial", SerialBackend()),
                         ("pool", ProcessPoolBackend(max_workers=2))):
@@ -178,6 +188,9 @@ def test_result_cache_short_circuits_backend(tmp_path):
         assert results == [first[0], first[1], first[0]]
         assert [(o.index, o.key) for o in report.outcomes] == [
             (0, a.key()), (1, b.key()), (2, a.key())]
+        assert [(o.attempts, o.cached) for o in report.outcomes] == [
+            (1, False), (1, False), (0, True)]
+        assert report.executed_attempts == 2
         assert len(runner.result_cache) == 2
 
 
@@ -186,18 +199,74 @@ def test_warm_run_report_keys_each_job_once(tmp_path, monkeypatch):
     jobs.append(jobs[0])
     runner = JobRunner(result_cache=ResultCache(tmp_path))
     cold = runner.run(jobs)
-    calls = []
-    key = SimJob.key
+    keyed = []
+    batch_keys = job_module.job_keys
 
-    def counted_key(job):
-        calls.append(job)
-        return key(job)
+    def counted_keys(batch):
+        keyed.extend(batch)
+        return batch_keys(batch)
 
-    monkeypatch.setattr(SimJob, "key", counted_key)
+    # SimJob.key keys through the job module's name, the runner through
+    # its own import of it.
+    monkeypatch.setattr(job_module, "job_keys", counted_keys)
+    monkeypatch.setattr(runner_module, "job_keys", counted_keys)
     results, report = runner.run_report(jobs)
-    assert len(calls) == len(jobs)
+    assert len(keyed) == len(jobs)
     assert all(outcome.cached for outcome in report.outcomes)
     assert results == cold
+
+
+def _reference_key(job):
+    """A job's key as one ``json.dumps`` of its whole payload."""
+    payload = {"schema": JOB_SCHEMA_VERSION,
+               "config_schema": CONFIG_SCHEMA_VERSION,
+               "trace_format": TRACE_FORMAT_VERSION,
+               "traces": job_module._workload_fingerprint(job.workload),
+               "job": job_module._canonical(job)}
+    return hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_batch_keys_match_the_whole_payload_digest(tmp_path, monkeypatch):
+    """Splicing each config's text into its jobs' payload text keys
+    every job as hashing its whole payload does: every job the report
+    plans at the benchmark's sizing, plus multicore, predictor-spec,
+    DRAM and trace-file jobs.  Each config object is serialised once."""
+    from repro.report.figures import figure_ids, get_figure
+    setup = ExperimentSetup(num_accesses=500, per_category=1)
+    jobs = [job for figure_id in figure_ids()
+            for job in get_figure(figure_id).plan(setup).jobs]
+    trace = tmp_path / "trace.csv"
+    write_trace(make_trace("ligra.bfs", 300), trace)
+    pythia = SystemConfig.baseline("pythia")
+    jobs += [
+        SimJob(config=pythia, workload=str(trace), num_accesses=300),
+        SimJob(config=pythia, workload=str(tmp_path / "gone.bin"),
+               num_accesses=300),
+        SimJob(config=pythia, workload=("ligra.bfs", str(trace)),
+               num_accesses=300, mode="multicore",
+               dram=SystemConfig.eight_core_dram()),
+        SimJob(config=SystemConfig.with_hermes("popet"), workload="ligra.bfs",
+               num_accesses=900, predictor_spec=PredictorSpec(
+                   "popet", {"features": ["pc_xor_cl_offset"],
+                             "extra": {"z": [3, 2.5], "a": None}})),
+        SimJob(config=pythia, workload="spec06.mcf_chase", num_accesses=700,
+               dram=DRAMConfig(channels=2, transfer_rate_mtps=1600)),
+    ]
+    serialised = []
+    to_dict = SystemConfig.to_dict
+
+    def counted_to_dict(config):
+        serialised.append(config)
+        return to_dict(config)
+
+    monkeypatch.setattr(SystemConfig, "to_dict", counted_to_dict)
+    keys = job_module.job_keys(jobs)
+    assert len(serialised) == len({id(job.config) for job in jobs})
+    monkeypatch.undo()
+    assert len(jobs) > 700
+    assert keys == [_reference_key(job) for job in jobs]
+    assert keys == [job.key() for job in jobs]
 
 
 # --------------------------------------------------------------------- #
