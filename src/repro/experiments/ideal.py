@@ -7,7 +7,7 @@ the four other prefetchers (Bingo, SPP, MLOP, SMS).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.metrics import geomean_speedup
 from repro.experiments.common import (
@@ -64,6 +64,8 @@ def plan_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
-                           **options: Any) -> Dict[str, Dict[str, float]]:
+                           prefetchers: Sequence[str] = ("pythia", "bingo", "spp",
+                                                         "mlop", "sms"),
+                           ) -> Dict[str, Dict[str, float]]:
     """Fig. 4's payload: :func:`plan_fig04_ideal_hermes`, run and reduced."""
-    return run_plan(setup, plan_fig04_ideal_hermes(setup, **options))
+    return run_plan(setup, plan_fig04_ideal_hermes(setup, prefetchers))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import geomean
 from repro.experiments.common import ExperimentSetup, run_plan
@@ -12,11 +12,11 @@ from repro.sim.multicore import MultiCoreResult
 from repro.workloads.suite import multicore_mix_names
 
 
-def plan_fig16_multicore(setup: Optional[ExperimentSetup] = None,
-                         num_cores: int = 8, num_mixes: int = 3,
+def plan_fig16_multicore(num_cores: int = 8, num_mixes: int = 3,
                          num_accesses: int = 4000,
                          predictors: Sequence[str] = ("hmp", "ttp", "popet"),
-                         seed: int = 99) -> SweepSpec:
+                         seed: int = 99,
+                         setup: Optional[ExperimentSetup] = None) -> SweepSpec:
     """Geomean throughput speedup of Pythia + Hermes-{HMP,TTP,POPET} over no-prefetching.
 
     Paper figure: Fig. 16.  Sweep axes: system ∈ {no-prefetching,
@@ -62,11 +62,16 @@ def plan_fig16_multicore(setup: Optional[ExperimentSetup] = None,
     return SweepSpec(name="fig16", jobs=jobs, reducer=reduce)
 
 
-def run_fig16_multicore(setup: Optional[ExperimentSetup] = None,
-                        **options: Any) -> Dict[str, float]:
+def run_fig16_multicore(num_cores: int = 8, num_mixes: int = 3,
+                        num_accesses: int = 4000,
+                        predictors: Sequence[str] = ("hmp", "ttp", "popet"),
+                        seed: int = 99,
+                        setup: Optional[ExperimentSetup] = None) -> Dict[str, float]:
     """Fig. 16's payload: :func:`plan_fig16_multicore`, run and reduced.
 
     ``setup`` only supplies execution knobs (``parallel``/
     ``max_workers``/caching).
     """
-    return run_plan(setup, plan_fig16_multicore(setup, **options))
+    return run_plan(setup, plan_fig16_multicore(num_cores, num_mixes,
+                                                num_accesses, predictors,
+                                                seed, setup))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.metrics import (
     average,
@@ -126,9 +126,11 @@ def plan_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
-                                   **options: Any) -> Dict[str, float]:
+                                   predictors: Sequence[str] = ("hmp", "ttp", "popet",
+                                                                "ideal"),
+                                   ) -> Dict[str, float]:
     """Fig. 14's payload: :func:`plan_fig14_predictor_comparison`, run and reduced."""
-    return run_plan(setup, plan_fig14_predictor_comparison(setup, **options))
+    return run_plan(setup, plan_fig14_predictor_comparison(setup, predictors))
 
 
 def plan_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
@@ -238,6 +240,8 @@ def plan_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
-                                     **options: Any) -> Dict[str, Dict[str, float]]:
+                                     prefetchers: Sequence[str] = ("pythia", "bingo",
+                                                                   "spp", "mlop", "sms"),
+                                     ) -> Dict[str, Dict[str, float]]:
     """Fig. 22's payload: :func:`plan_fig22_overhead_by_prefetcher`, run and reduced."""
-    return run_plan(setup, plan_fig22_overhead_by_prefetcher(setup, **options))
+    return run_plan(setup, plan_fig22_overhead_by_prefetcher(setup, prefetchers))

@@ -16,7 +16,7 @@ the custom-feature predictors through the registry.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import average
 from repro.experiments.common import (
@@ -81,10 +81,11 @@ def plan_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
-                                **options: Any,
+                                predictors: Sequence[str] = ("hmp", "ttp", "popet"),
+                                prefetcher: str = "pythia",
                                 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Fig. 9's payload: :func:`plan_fig09_accuracy_coverage`, run and reduced."""
-    return run_plan(setup, plan_fig09_accuracy_coverage(setup, **options))
+    return run_plan(setup, plan_fig09_accuracy_coverage(setup, predictors, prefetcher))
 
 
 def _suite_averages(by_label: Grouped) -> Dict[str, Dict[str, float]]:
@@ -133,9 +134,9 @@ def plan_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
-                               **options: Any) -> Dict[str, Dict[str, float]]:
+                               prefetcher: str = "pythia") -> Dict[str, Dict[str, float]]:
     """Fig. 10's payload: :func:`plan_fig10_feature_ablation`, run and reduced."""
-    return run_plan(setup, plan_fig10_feature_ablation(setup, **options))
+    return run_plan(setup, plan_fig10_feature_ablation(setup, prefetcher))
 
 
 def plan_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
@@ -172,10 +173,10 @@ def plan_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
-                                  **options: Any,
+                                  prefetcher: str = "pythia",
                                   ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Fig. 11's payload: :func:`plan_fig11_feature_variability`, run and reduced."""
-    return run_plan(setup, plan_fig11_feature_variability(setup, **options))
+    return run_plan(setup, plan_fig11_feature_variability(setup, prefetcher))
 
 
 def plan_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
@@ -204,6 +205,9 @@ def plan_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
-                                     **options: Any) -> Dict[str, Dict[str, float]]:
+                                     prefetchers: Sequence[str] = ("pythia", "bingo",
+                                                                   "spp", "mlop",
+                                                                   "sms", "none"),
+                                     ) -> Dict[str, Dict[str, float]]:
     """Fig. 21's payload: :func:`plan_fig21_accuracy_by_prefetcher`, run and reduced."""
-    return run_plan(setup, plan_fig21_accuracy_by_prefetcher(setup, **options))
+    return run_plan(setup, plan_fig21_accuracy_by_prefetcher(setup, prefetchers))

@@ -15,7 +15,7 @@ the same machinery.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.metrics import average, geomean_speedup
 from repro.experiments.common import (
@@ -91,10 +91,10 @@ def plan_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                     **options: Any,
+                                     mtps_values: Sequence[int] = (800, 1600, 3200, 6400),
                                      ) -> Dict[int, Dict[str, float]]:
     """Fig. 17a's payload: :func:`plan_fig17a_bandwidth_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17a_bandwidth_sensitivity(setup, **options))
+    return run_plan(setup, plan_fig17a_bandwidth_sensitivity(setup, mtps_values))
 
 
 def plan_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -135,10 +135,11 @@ def plan_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                      **options: Any,
+                                      prefetchers: Sequence[str] = ("pythia", "bingo",
+                                                                    "spp", "mlop", "sms"),
                                       ) -> Dict[str, Dict[str, float]]:
     """Fig. 17b's payload: :func:`plan_fig17b_prefetcher_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17b_prefetcher_sensitivity(setup, **options))
+    return run_plan(setup, plan_fig17b_prefetcher_sensitivity(setup, prefetchers))
 
 
 def plan_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -178,10 +179,10 @@ def plan_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = Non
 
 
 def run_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                         **options: Any,
+                                         latencies: Sequence[int] = (0, 6, 12, 18, 24),
                                          ) -> Dict[int, Dict[str, float]]:
     """Fig. 17c's payload: :func:`plan_fig17c_issue_latency_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17c_issue_latency_sensitivity(setup, **options))
+    return run_plan(setup, plan_fig17c_issue_latency_sensitivity(setup, latencies))
 
 
 def plan_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -222,10 +223,10 @@ def plan_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = Non
 
 
 def run_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                         **options: Any,
+                                         llc_latencies: Sequence[int] = (40, 55, 65),
                                          ) -> Dict[int, Dict[str, float]]:
     """Fig. 17d's payload: :func:`plan_fig17d_cache_latency_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17d_cache_latency_sensitivity(setup, **options))
+    return run_plan(setup, plan_fig17d_cache_latency_sensitivity(setup, llc_latencies))
 
 
 def plan_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
@@ -265,10 +266,11 @@ def plan_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
-                                    **options: Any,
+                                    thresholds: Sequence[int] = (-30, -26, -22, -18,
+                                                                 -10, -2),
                                     ) -> Dict[int, Dict[str, float]]:
     """Fig. 17e's payload: :func:`plan_fig17e_activation_threshold`, run and reduced."""
-    return run_plan(setup, plan_fig17e_activation_threshold(setup, **options))
+    return run_plan(setup, plan_fig17e_activation_threshold(setup, thresholds))
 
 
 def plan_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -308,10 +310,10 @@ def plan_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                   **options: Any,
+                                   rob_sizes: Sequence[int] = (256, 512, 1024),
                                    ) -> Dict[int, Dict[str, float]]:
     """Fig. 19's payload: :func:`plan_fig19_rob_size_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig19_rob_size_sensitivity(setup, **options))
+    return run_plan(setup, plan_fig19_rob_size_sensitivity(setup, rob_sizes))
 
 
 def plan_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -354,7 +356,7 @@ def plan_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
 
 
 def run_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                   **options: Any,
+                                   llc_sizes_mb: Sequence[float] = (3, 6, 12),
                                    ) -> Dict[float, Dict[str, float]]:
     """Fig. 20's payload: :func:`plan_fig20_llc_size_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig20_llc_size_sensitivity(setup, **options))
+    return run_plan(setup, plan_fig20_llc_size_sensitivity(setup, llc_sizes_mb))

@@ -98,17 +98,15 @@ class FigureSpec:
         """The figure's jobs and reducer, from its ``plan_*`` function.
 
         The plan sits next to the runner in :mod:`repro.experiments`
-        (``run_fig12_...`` -> ``plan_fig12_...``).  A figure without
-        one, such as the closed-form storage tables, plans no jobs and
-        its reducer calls the runner.
+        (``run_fig12_...`` -> ``plan_fig12_...``).  The closed-form
+        storage tables (``needs_setup=False``) plan no jobs: their
+        reducer calls the runner.
         """
         import repro.experiments as experiments
         from repro.runner.job import SweepSpec
-        plan = getattr(experiments,
-                       "plan_" + self.runner_name[len("run_"):], None)
-        if plan is None:
-            return SweepSpec(self.figure_id, [],
-                             lambda results: self.run(setup))
+        if not self.needs_setup:
+            return SweepSpec(self.figure_id, [], lambda results: self.run())
+        plan = getattr(experiments, "plan_" + self.runner_name[len("run_"):])
         return plan(setup=setup)
 
     def collect(self, plan: "SweepSpec", results: List[Any]) -> FigureResult:

@@ -35,7 +35,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.execute import run_job_attempt
-from repro.runner.job import SimJob, job_keys
+from repro.runner.job import SimJob
 from repro.runner.status import JobOutcome, JobTimeoutError, RetryPolicy
 
 #: Callback fired in the parent the moment one job reaches a terminal
@@ -76,25 +76,18 @@ class ExecutionBackend(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def run_outcomes(self, jobs: Sequence[SimJob],
+    def run_outcomes(self, jobs: Sequence[SimJob], keys: Sequence[str],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
-                     keys: Optional[Sequence[str]] = None,
                      ) -> List[JobOutcome]:
         """Execute every job, returning one outcome per job in job order.
 
+        ``keys`` are the jobs' keys (:func:`~repro.runner.job.job_keys`),
+        which the caller already holds; a backend never keys a job.
         Each job runs in isolation under ``policy`` (a default
         :class:`RetryPolicy` when ``None``) until it reaches a terminal
-        outcome; ``on_complete`` fires as each one does.  ``keys`` are
-        the jobs' keys when the caller holds them (the runner does);
-        ``None`` keys the batch here.
+        outcome; ``on_complete`` fires as each one does.
         """
-
-
-def resolve_keys(jobs: Sequence[SimJob],
-                 keys: Optional[Sequence[str]]) -> List[str]:
-    """``keys`` as a list, or the jobs' keys when the caller has none."""
-    return list(keys) if keys is not None else job_keys(jobs)
 
 
 def _attempt_loop(index: int, key: str, job: SimJob,
@@ -134,14 +127,12 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run_outcomes(self, jobs: Sequence[SimJob],
+    def run_outcomes(self, jobs: Sequence[SimJob], keys: Sequence[str],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
-                     keys: Optional[Sequence[str]] = None,
                      ) -> List[JobOutcome]:
         policy = policy or RetryPolicy()
         outcomes: List[JobOutcome] = []
-        keys = resolve_keys(jobs, keys)
         for index, (key, job) in enumerate(zip(keys, jobs)):
             outcome = _attempt_loop(index, key, job, policy)
             outcomes.append(outcome)
@@ -170,21 +161,19 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("max_workers must be at least 1")
         self.max_workers = max_workers
 
-    def run_outcomes(self, jobs: Sequence[SimJob],
+    def run_outcomes(self, jobs: Sequence[SimJob], keys: Sequence[str],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
-                     keys: Optional[Sequence[str]] = None,
                      ) -> List[JobOutcome]:
         jobs = list(jobs)
         policy = policy or RetryPolicy()
         if not jobs:
             return []
-        keys = resolve_keys(jobs, keys)
         workers = min(self.max_workers or os.cpu_count() or 1, len(jobs))
         if workers <= 1 or len(jobs) <= 1:
-            return SerialBackend().run_outcomes(jobs, policy, on_complete,
-                                                keys)
-        driver = _PoolDriver(jobs, keys, policy, workers,
+            return SerialBackend().run_outcomes(jobs, keys, policy,
+                                                on_complete)
+        driver = _PoolDriver(jobs, list(keys), policy, workers,
                              window=workers * self.window_per_worker,
                              on_complete=on_complete)
         return driver.run()

@@ -33,11 +33,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.runner.backends import (
-    CompletionFn,
-    ExecutionBackend,
-    resolve_keys,
-)
+from repro.runner.backends import CompletionFn, ExecutionBackend
 from repro.runner.cache import ResultCache
 from repro.runner.distributed.queue import (
     DEFAULT_LEASE_TTL,
@@ -73,10 +69,9 @@ class DistributedBackend(ExecutionBackend):
         self.participate = participate
         self.poll_interval_s = poll_interval_s
 
-    def run_outcomes(self, jobs: Sequence[SimJob],
+    def run_outcomes(self, jobs: Sequence[SimJob], keys: Sequence[str],
                      policy: Optional[RetryPolicy] = None,
                      on_complete: Optional[CompletionFn] = None,
-                     keys: Optional[Sequence[str]] = None,
                      ) -> List[JobOutcome]:
         jobs = list(jobs)
         policy = policy or RetryPolicy()
@@ -89,8 +84,7 @@ class DistributedBackend(ExecutionBackend):
         # execution; each index still gets its own outcome row.
         indices_for: Dict[str, List[int]] = {}
         job_for: Dict[str, SimJob] = {}
-        for index, (key, job) in enumerate(zip(resolve_keys(jobs, keys),
-                                               jobs)):
+        for index, (key, job) in enumerate(zip(keys, jobs)):
             indices_for.setdefault(key, []).append(index)
             job_for.setdefault(key, job)
         for key, job in job_for.items():

@@ -93,9 +93,9 @@ class JobRunner:
                     self.result_cache.put(outcome.key, outcome.result)
 
             pending = [jobs[indices_for[key][0]] for key in pending_keys]
-            computed = self.backend.run_outcomes(pending, self.retry_policy,
-                                                 on_complete=checkpoint,
-                                                 keys=pending_keys)
+            computed = self.backend.run_outcomes(pending, pending_keys,
+                                                 self.retry_policy,
+                                                 on_complete=checkpoint)
             for key, outcome in zip(pending_keys, computed):
                 # The backend indexed the sub-batch; re-index per job.
                 first, *repeats = indices_for[key]

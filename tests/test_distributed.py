@@ -57,7 +57,7 @@ from repro.runner.distributed import (
 )
 from repro.runner.execute import run_job_attempt
 from repro.runner.faults import FAULT_KINDS, FAULTS_ENV, apply_faults
-from repro.runner.job import PredictorSpec
+from repro.runner.job import PredictorSpec, job_keys
 from repro.runner.spec import Axis, AxisPoint
 from repro.sim.config import SystemConfig
 
@@ -432,7 +432,8 @@ def test_solo_distributed_backend_matches_serial_byte_identical(tmp_path):
 
 def test_duplicate_jobs_share_one_execution(tmp_path):
     job = _jobs(1)[0]
-    outcomes = DistributedBackend(tmp_path).run_outcomes([job, job])
+    outcomes = DistributedBackend(tmp_path).run_outcomes(
+        [job, job], job_keys([job, job]))
     assert [o.index for o in outcomes] == [0, 1]
     assert all(o.ok for o in outcomes)
     assert outcomes[0].key == outcomes[1].key
@@ -468,7 +469,8 @@ def test_torn_write_is_quarantined_and_reexecuted(tmp_path):
     plan = FaultPlan(faults={victim: FaultSpec(kind="torn-write",
                                                succeed_on=2)})
     with plan.activated():
-        outcomes = DistributedBackend(tmp_path).run_outcomes(jobs)
+        outcomes = DistributedBackend(tmp_path).run_outcomes(
+            jobs, job_keys(jobs))
     assert all(o.ok for o in outcomes)
     assert outcomes[1].attempts == 2            # re-run was a new attempt
     results = [o.result for o in outcomes]
@@ -493,7 +495,7 @@ def test_abandoned_lease_ages_out_and_is_stolen(tmp_path):
     backend = DistributedBackend(tmp_path, lease_ttl=scaled(0.5))
     started = time.monotonic()
     with plan.activated():
-        outcomes = backend.run_outcomes(jobs)
+        outcomes = backend.run_outcomes(jobs, job_keys(jobs))
     assert all(o.ok for o in outcomes)
     assert outcomes[0].attempts == 2            # the steal bumped it
     assert time.monotonic() - started >= 0.5    # a TTL actually elapsed
@@ -762,7 +764,8 @@ def test_cli_since_spec_executes_precisely_the_delta(tmp_path):
 
 def test_service_stats_expose_shard_and_lease_counters(tmp_path):
     jobs = _jobs(2)
-    outcomes = DistributedBackend(tmp_path).run_outcomes(jobs)
+    outcomes = DistributedBackend(tmp_path).run_outcomes(jobs,
+                                                         job_keys(jobs))
     assert all(o.ok for o in outcomes)
     from repro.service import SimService
     service = SimService(cache_dir=tmp_path)

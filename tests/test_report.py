@@ -190,6 +190,24 @@ class TestFigureCatalogue:
             assert callable(getattr(experiments, spec.runner_name))
             assert (REPO_ROOT / "benchmarks" / spec.benchmark).is_file()
 
+    def test_each_plan_takes_its_runners_parameters(self):
+        """``repro report`` runs a figure's plan and ``repro sweep
+        --figure`` its runner, so both must take the same options with
+        the same defaults; the closed-form tables have no plan."""
+        import inspect
+
+        import repro.experiments as experiments
+        for fid in figure_ids():
+            spec = get_figure(fid)
+            name = "plan_" + spec.runner_name[len("run_"):]
+            if not spec.needs_setup:
+                assert not hasattr(experiments, name)
+                continue
+            runner = getattr(experiments, spec.runner_name)
+            plan = getattr(experiments, name)
+            assert (inspect.signature(plan).parameters
+                    == inspect.signature(runner).parameters), fid
+
     def test_unknown_figure_is_loud(self):
         with pytest.raises(UnknownComponentError, match="fig99"):
             get_figure("fig99")

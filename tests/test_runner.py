@@ -155,9 +155,9 @@ class _CountingBackend(ExecutionBackend):
         self.inner = inner or SerialBackend()
         self.executed = 0
 
-    def run_outcomes(self, jobs, policy=None, on_complete=None, keys=None):
+    def run_outcomes(self, jobs, keys, policy=None, on_complete=None):
         self.executed += len(jobs)
-        return self.inner.run_outcomes(jobs, policy, on_complete, keys)
+        return self.inner.run_outcomes(jobs, keys, policy, on_complete)
 
 
 def test_result_cache_short_circuits_backend(tmp_path):
