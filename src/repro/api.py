@@ -41,6 +41,7 @@ from repro.config import (
 from repro.core.hermes import HermesConfig
 from repro.cpu.core import CoreConfig
 from repro.dram.config import DRAMConfig
+from repro.experiments.common import ExperimentSetup
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.offchip.factory import available_predictors, make_predictor
@@ -135,20 +136,6 @@ def run(config: Optional[SystemConfig] = None, *,
     return simulate_trace(config, make_trace(workload, accesses))
 
 
-def _make_runner(parallel: bool, max_workers: Optional[int],
-                 cache_dir: Optional[Union[str, Path]],
-                 retries: int, retry_delay: float,
-                 timeout: Optional[float], on_error: str) -> JobRunner:
-    """The runner shared by :func:`sweep` and :func:`sweep_report`."""
-    backend = (ProcessPoolBackend(max_workers=max_workers) if parallel
-               else SerialBackend())
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    policy = RetryPolicy(max_attempts=retries + 1, base_delay=retry_delay,
-                         timeout=timeout)
-    return JobRunner(backend=backend, result_cache=cache,
-                     retry_policy=policy, on_error=on_error)
-
-
 def sweep(spec: Union[ExperimentSpec, SweepSpec, Sequence[SimJob]], *,
           parallel: bool = False,
           max_workers: Optional[int] = None,
@@ -175,8 +162,10 @@ def sweep(spec: Union[ExperimentSpec, SweepSpec, Sequence[SimJob]], *,
     leave ``None`` in their result slots; use :func:`sweep_report` to
     also get the per-job :class:`SweepReport` ledger.
     """
-    runner = _make_runner(parallel, max_workers, cache_dir,
-                          retries, retry_delay, timeout, on_error)
+    runner = ExperimentSetup(parallel=parallel, max_workers=max_workers,
+                             result_cache_dir=cache_dir, retries=retries,
+                             retry_delay=retry_delay, timeout=timeout,
+                             on_error=on_error).runner()
     if isinstance(spec, ExperimentSpec):
         return spec.group(runner.run(spec.jobs()))
     if isinstance(spec, SweepSpec):
@@ -202,8 +191,10 @@ def sweep_report(spec: Union[ExperimentSpec, SweepSpec, Sequence[SimJob]], *,
     callers asking for the ledger want to inspect partial results, not
     catch exceptions.
     """
-    runner = _make_runner(parallel, max_workers, cache_dir,
-                          retries, retry_delay, timeout, on_error)
+    runner = ExperimentSetup(parallel=parallel, max_workers=max_workers,
+                             result_cache_dir=cache_dir, retries=retries,
+                             retry_delay=retry_delay, timeout=timeout,
+                             on_error=on_error).runner()
     if isinstance(spec, ExperimentSpec):
         jobs: Sequence[SimJob] = spec.jobs()
         name = spec.name
@@ -263,7 +254,6 @@ def report(figures: Optional[Sequence[str]] = None, *,
     Returns the :class:`~repro.report.generate.ReportSummary` with
     per-figure artifact paths and the result-cache hit/miss counters.
     """
-    from repro.experiments.common import ExperimentSetup
     from repro.report.generate import generate_report
     setup = ExperimentSetup(parallel=parallel, max_workers=max_workers,
                             result_cache_dir=cache_dir)

@@ -1,16 +1,19 @@
 """Experiment runners: one function per paper figure/table.
 
-Every function takes an :class:`ExperimentSetup` carrying sizing knobs
-(trace length, workloads per category) and execution knobs
-(``parallel``/``max_workers``/``result_cache_dir``), so the same code
-can run as a quick serial benchmark or as a fuller parallel overnight
-sweep, and returns plain dictionaries/lists that the benchmark harness
-prints as the rows/series of the corresponding paper figure.  Each
-figure's sweep is declared by a ``plan_fig*`` function as a
-:class:`~repro.runner.job.SweepSpec` (a :class:`~repro.runner.job.SimJob`
-matrix plus the reducer that turns its results into the payload), and
-its ``run_fig*`` runner executes that plan through the
-:mod:`repro.runner` subsystem.
+Every figure and table is defined once, as a ``plan_*`` function
+returning a :class:`~repro.runner.job.SweepSpec`: a
+:class:`~repro.runner.job.SimJob` matrix (empty for the closed-form
+Tables 3 and 6) plus the reducer that turns its results into the
+payload.  Its ``run_*`` runner is derived from the plan
+(:func:`~repro.experiments.common.runner_for`): it takes the same
+parameters and runs the plan through the :mod:`repro.runner`
+subsystem.  The figure runners take an :class:`ExperimentSetup`
+carrying sizing knobs (trace length, workloads per category) and
+execution knobs (``parallel``/``max_workers``/``result_cache_dir``),
+so the same code can run as a quick serial benchmark or as a fuller
+parallel overnight sweep, and return plain dictionaries/lists that the
+benchmark harness prints as the rows/series of the corresponding paper
+figure.
 
 See EXPERIMENTS.md for the experiment index mapping figures/tables to
 these runners and to the benchmark files that invoke them, and
@@ -73,7 +76,12 @@ from repro.experiments.sensitivity import (
     run_fig19_rob_size_sensitivity,
     run_fig20_llc_size_sensitivity,
 )
-from repro.experiments.storage import run_table3_storage, run_table6_storage
+from repro.experiments.storage import (
+    plan_table3_storage,
+    plan_table6_storage,
+    run_table3_storage,
+    run_table6_storage,
+)
 
 __all__ = [
     "ExperimentSetup",
@@ -102,6 +110,8 @@ __all__ = [
     "plan_fig20_llc_size_sensitivity",
     "plan_fig21_accuracy_by_prefetcher",
     "plan_fig22_overhead_by_prefetcher",
+    "plan_table3_storage",
+    "plan_table6_storage",
     "run_fig02_offchip_loads",
     "run_fig03_stall_cycles",
     "run_fig04_ideal_hermes",

@@ -1,18 +1,20 @@
 """Shared experiment scaffolding, built on the runner subsystem.
 
-Every paper figure is a plan plus a reduction.  Its ``plan_fig*``
-function declares the sweep as a :class:`~repro.runner.job.SweepSpec`:
-the :class:`SimJob` list (mostly via :func:`plan_matrix`) and the
-reducer that turns the jobs' results into the figure's payload.  Its
-``run_fig*`` runner is :func:`run_plan` of that plan, and ``repro
-report`` runs the plans of every requested figure as one batch.  The
-:class:`ExperimentSetup` decides how jobs execute — serially by
-default, or fanned out over a process pool with ``parallel=True``,
-optionally memoised on disk with ``result_cache_dir``.
+Every paper figure and table is one plan.  Its ``plan_*`` function
+declares the sweep as a :class:`~repro.runner.job.SweepSpec`: the
+:class:`SimJob` list (mostly via :func:`plan_matrix`; none for the
+closed-form tables) and the reducer that turns the jobs' results into
+the payload.  Its ``run_*`` runner is derived from the plan by
+:func:`runner_for`, and ``repro report`` runs the plans of every
+requested figure as one batch.  The :class:`ExperimentSetup` decides
+how jobs execute — serially by default, or fanned out over a process
+pool with ``parallel=True``, optionally memoised on disk with
+``result_cache_dir``.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -151,6 +153,30 @@ def plan_matrix(name: str, setup: ExperimentSetup,
 def run_plan(setup: Optional[ExperimentSetup], plan: SweepSpec) -> Any:
     """Run a plan's jobs through the setup's runner and reduce them."""
     return (setup or ExperimentSetup()).runner().run_sweep(plan)
+
+
+def runner_for(plan: Callable[..., SweepSpec]) -> Callable[..., Any]:
+    """The runner of a ``plan_*`` function: the plan, run and reduced.
+
+    The runner takes exactly the plan's parameters (its
+    ``__signature__`` is the plan's), finds ``setup`` wherever the
+    caller passed it, returns ``run_plan(setup, plan(...))`` and keeps
+    the plan as its ``plan`` attribute::
+
+        run_fig05_offchip_rate = runner_for(plan_fig05_offchip_rate)
+    """
+    signature = inspect.signature(plan)
+
+    def run(*args: Any, **kwargs: Any) -> Any:
+        setup = signature.bind(*args, **kwargs).arguments.get("setup")
+        return run_plan(setup, plan(*args, **kwargs))
+
+    run.__name__ = run.__qualname__ = "run_" + plan.__name__[len("plan_"):]
+    run.__module__ = plan.__module__
+    run.__doc__ = f"The payload of :func:`{plan.__name__}`, run and reduced."
+    run.__signature__ = signature.replace(return_annotation=Any)
+    run.plan = plan
+    return run
 
 
 def run_matrix(setup: ExperimentSetup,

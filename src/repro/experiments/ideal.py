@@ -14,7 +14,7 @@ from repro.experiments.common import (
     ExperimentSetup,
     Grouped,
     plan_matrix,
-    run_plan,
+    runner_for,
 )
 from repro.runner import SweepSpec
 from repro.sim.config import SystemConfig
@@ -63,9 +63,4 @@ def plan_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig04", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig04_ideal_hermes(setup: Optional[ExperimentSetup] = None,
-                           prefetchers: Sequence[str] = ("pythia", "bingo", "spp",
-                                                         "mlop", "sms"),
-                           ) -> Dict[str, Dict[str, float]]:
-    """Fig. 4's payload: :func:`plan_fig04_ideal_hermes`, run and reduced."""
-    return run_plan(setup, plan_fig04_ideal_hermes(setup, prefetchers))
+run_fig04_ideal_hermes = runner_for(plan_fig04_ideal_hermes)

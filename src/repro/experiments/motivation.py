@@ -18,7 +18,7 @@ from repro.experiments.common import (
     ExperimentSetup,
     Grouped,
     plan_matrix,
-    run_plan,
+    runner_for,
 )
 from repro.runner import SweepSpec
 from repro.sim.config import SystemConfig
@@ -66,9 +66,7 @@ def plan_fig02_offchip_loads(setup: Optional[ExperimentSetup] = None) -> SweepSp
     }, reduce)
 
 
-def run_fig02_offchip_loads(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
-    """Fig. 2's payload: :func:`plan_fig02_offchip_loads`, run and reduced."""
-    return run_plan(setup, plan_fig02_offchip_loads(setup))
+run_fig02_offchip_loads = runner_for(plan_fig02_offchip_loads)
 
 
 def plan_fig03_stall_cycles(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
@@ -109,9 +107,7 @@ def plan_fig03_stall_cycles(setup: Optional[ExperimentSetup] = None) -> SweepSpe
                        {"pythia": SystemConfig.baseline("pythia")}, reduce)
 
 
-def run_fig03_stall_cycles(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
-    """Fig. 3's payload: :func:`plan_fig03_stall_cycles`, run and reduced."""
-    return run_plan(setup, plan_fig03_stall_cycles(setup))
+run_fig03_stall_cycles = runner_for(plan_fig03_stall_cycles)
 
 
 def plan_fig05_offchip_rate(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
@@ -144,6 +140,4 @@ def plan_fig05_offchip_rate(setup: Optional[ExperimentSetup] = None) -> SweepSpe
                        {"pythia": SystemConfig.baseline("pythia")}, reduce)
 
 
-def run_fig05_offchip_rate(setup: Optional[ExperimentSetup] = None) -> Dict[str, Dict[str, float]]:
-    """Fig. 5's payload: :func:`plan_fig05_offchip_rate`, run and reduced."""
-    return run_plan(setup, plan_fig05_offchip_rate(setup))
+run_fig05_offchip_rate = runner_for(plan_fig05_offchip_rate)

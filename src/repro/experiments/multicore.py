@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import geomean
-from repro.experiments.common import ExperimentSetup, run_plan
+from repro.experiments.common import ExperimentSetup, runner_for
 from repro.runner import SimJob, SweepSpec
 from repro.sim.config import SystemConfig
 from repro.sim.multicore import MultiCoreResult
@@ -62,16 +62,4 @@ def plan_fig16_multicore(num_cores: int = 8, num_mixes: int = 3,
     return SweepSpec(name="fig16", jobs=jobs, reducer=reduce)
 
 
-def run_fig16_multicore(num_cores: int = 8, num_mixes: int = 3,
-                        num_accesses: int = 4000,
-                        predictors: Sequence[str] = ("hmp", "ttp", "popet"),
-                        seed: int = 99,
-                        setup: Optional[ExperimentSetup] = None) -> Dict[str, float]:
-    """Fig. 16's payload: :func:`plan_fig16_multicore`, run and reduced.
-
-    ``setup`` only supplies execution knobs (``parallel``/
-    ``max_workers``/caching).
-    """
-    return run_plan(setup, plan_fig16_multicore(num_cores, num_mixes,
-                                                num_accesses, predictors,
-                                                seed, setup))
+run_fig16_multicore = runner_for(plan_fig16_multicore)

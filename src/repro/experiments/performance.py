@@ -17,7 +17,7 @@ from repro.experiments.common import (
     ExperimentSetup,
     Grouped,
     plan_matrix,
-    run_plan,
+    runner_for,
 )
 from repro.runner import SweepSpec
 from repro.sim.config import SystemConfig
@@ -57,10 +57,7 @@ def plan_fig12_singlecore_speedup(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig12", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig12_singlecore_speedup(setup: Optional[ExperimentSetup] = None,
-                                 ) -> Dict[str, Dict[str, float]]:
-    """Fig. 12's payload: :func:`plan_fig12_singlecore_speedup`, run and reduced."""
-    return run_plan(setup, plan_fig12_singlecore_speedup(setup))
+run_fig12_singlecore_speedup = runner_for(plan_fig12_singlecore_speedup)
 
 
 def plan_fig13_per_workload_speedup(setup: Optional[ExperimentSetup] = None,
@@ -91,10 +88,7 @@ def plan_fig13_per_workload_speedup(setup: Optional[ExperimentSetup] = None,
     }, reduce)
 
 
-def run_fig13_per_workload_speedup(setup: Optional[ExperimentSetup] = None,
-                                   ) -> Dict[str, Dict[str, float]]:
-    """Fig. 13's payload: :func:`plan_fig13_per_workload_speedup`, run and reduced."""
-    return run_plan(setup, plan_fig13_per_workload_speedup(setup))
+run_fig13_per_workload_speedup = runner_for(plan_fig13_per_workload_speedup)
 
 
 def plan_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
@@ -125,12 +119,7 @@ def plan_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig14", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig14_predictor_comparison(setup: Optional[ExperimentSetup] = None,
-                                   predictors: Sequence[str] = ("hmp", "ttp", "popet",
-                                                                "ideal"),
-                                   ) -> Dict[str, float]:
-    """Fig. 14's payload: :func:`plan_fig14_predictor_comparison`, run and reduced."""
-    return run_plan(setup, plan_fig14_predictor_comparison(setup, predictors))
+run_fig14_predictor_comparison = runner_for(plan_fig14_predictor_comparison)
 
 
 def plan_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
@@ -165,10 +154,7 @@ def plan_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
     }, reduce)
 
 
-def run_fig15_stalls_and_overhead(setup: Optional[ExperimentSetup] = None,
-                                  ) -> Dict[str, float]:
-    """Fig. 15's payload: :func:`plan_fig15_stalls_and_overhead`, run and reduced."""
-    return run_plan(setup, plan_fig15_stalls_and_overhead(setup))
+run_fig15_stalls_and_overhead = runner_for(plan_fig15_stalls_and_overhead)
 
 
 def plan_fig18_power(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
@@ -200,9 +186,7 @@ def plan_fig18_power(setup: Optional[ExperimentSetup] = None) -> SweepSpec:
     }, reduce)
 
 
-def run_fig18_power(setup: Optional[ExperimentSetup] = None) -> Dict[str, float]:
-    """Fig. 18's payload: :func:`plan_fig18_power`, run and reduced."""
-    return run_plan(setup, plan_fig18_power(setup))
+run_fig18_power = runner_for(plan_fig18_power)
 
 
 def plan_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
@@ -239,9 +223,4 @@ def plan_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig22", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig22_overhead_by_prefetcher(setup: Optional[ExperimentSetup] = None,
-                                     prefetchers: Sequence[str] = ("pythia", "bingo",
-                                                                   "spp", "mlop", "sms"),
-                                     ) -> Dict[str, Dict[str, float]]:
-    """Fig. 22's payload: :func:`plan_fig22_overhead_by_prefetcher`, run and reduced."""
-    return run_plan(setup, plan_fig22_overhead_by_prefetcher(setup, prefetchers))
+run_fig22_overhead_by_prefetcher = runner_for(plan_fig22_overhead_by_prefetcher)

@@ -25,7 +25,7 @@ from repro.experiments.common import (
     Grouped,
     PredictorSpec,
     plan_matrix,
-    run_plan,
+    runner_for,
 )
 from repro.offchip.features import SELECTED_FEATURES
 from repro.runner import SweepSpec
@@ -80,12 +80,7 @@ def plan_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
     }, reduce)
 
 
-def run_fig09_accuracy_coverage(setup: Optional[ExperimentSetup] = None,
-                                predictors: Sequence[str] = ("hmp", "ttp", "popet"),
-                                prefetcher: str = "pythia",
-                                ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Fig. 9's payload: :func:`plan_fig09_accuracy_coverage`, run and reduced."""
-    return run_plan(setup, plan_fig09_accuracy_coverage(setup, predictors, prefetcher))
+run_fig09_accuracy_coverage = runner_for(plan_fig09_accuracy_coverage)
 
 
 def _suite_averages(by_label: Grouped) -> Dict[str, Dict[str, float]]:
@@ -133,10 +128,7 @@ def plan_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
                        _suite_averages)
 
 
-def run_fig10_feature_ablation(setup: Optional[ExperimentSetup] = None,
-                               prefetcher: str = "pythia") -> Dict[str, Dict[str, float]]:
-    """Fig. 10's payload: :func:`plan_fig10_feature_ablation`, run and reduced."""
-    return run_plan(setup, plan_fig10_feature_ablation(setup, prefetcher))
+run_fig10_feature_ablation = runner_for(plan_fig10_feature_ablation)
 
 
 def plan_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
@@ -172,11 +164,7 @@ def plan_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig11", setup, matrix, reduce)
 
 
-def run_fig11_feature_variability(setup: Optional[ExperimentSetup] = None,
-                                  prefetcher: str = "pythia",
-                                  ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Fig. 11's payload: :func:`plan_fig11_feature_variability`, run and reduced."""
-    return run_plan(setup, plan_fig11_feature_variability(setup, prefetcher))
+run_fig11_feature_variability = runner_for(plan_fig11_feature_variability)
 
 
 def plan_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
@@ -204,10 +192,4 @@ def plan_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
     }, _suite_averages)
 
 
-def run_fig21_accuracy_by_prefetcher(setup: Optional[ExperimentSetup] = None,
-                                     prefetchers: Sequence[str] = ("pythia", "bingo",
-                                                                   "spp", "mlop",
-                                                                   "sms", "none"),
-                                     ) -> Dict[str, Dict[str, float]]:
-    """Fig. 21's payload: :func:`plan_fig21_accuracy_by_prefetcher`, run and reduced."""
-    return run_plan(setup, plan_fig21_accuracy_by_prefetcher(setup, prefetchers))
+run_fig21_accuracy_by_prefetcher = runner_for(plan_fig21_accuracy_by_prefetcher)

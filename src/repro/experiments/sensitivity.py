@@ -6,11 +6,10 @@ benchmark output has the same series as the corresponding figure.  Each
 plan holds its full (parameter x configuration x workload) job matrix,
 so a parallel backend spreads the whole figure at once.
 
-The ROB-size and LLC-size sweeps (Figs. 19/20) are written against the
-declarative experiment-spec API — the same :class:`~repro.runner.spec.
-ExperimentSpec` a TOML file loads into — so they double as executable
-proof that spec-driven sweeps and hand-built ``plan_matrix`` calls are
-the same machinery.
+The ROB-size and LLC-size sweeps (Figs. 19/20) declare their systems
+through the experiment-spec API — the same :class:`~repro.runner.spec.
+ExperimentSpec` a TOML file loads into — and plan the spec's
+configurations with ``plan_matrix`` like every other figure.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ from repro.experiments.common import (
     ConfigEntry,
     ExperimentSetup,
     Grouped,
-    MatrixReducer,
     PredictorSpec,
     plan_matrix,
-    run_plan,
+    runner_for,
 )
 from repro.runner import SweepSpec
 from repro.runner.spec import Axis, AxisPoint, ExperimentSpec
@@ -43,13 +41,6 @@ _SYSTEM_AXIS = Axis("system", [
                                 "offchip_predictor": "popet",
                                 "hermes.enabled": True}),
 ])
-
-
-def _plan_spec(name: str, spec: ExperimentSpec,
-               reduce: MatrixReducer) -> SweepSpec:
-    """A plan of a spec's jobs whose reducer groups results by label."""
-    return SweepSpec(name=name, jobs=spec.jobs(),
-                     reducer=lambda results: reduce(spec.group(results)))
 
 
 def plan_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -90,11 +81,7 @@ def plan_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig17a", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17a_bandwidth_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                     mtps_values: Sequence[int] = (800, 1600, 3200, 6400),
-                                     ) -> Dict[int, Dict[str, float]]:
-    """Fig. 17a's payload: :func:`plan_fig17a_bandwidth_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17a_bandwidth_sensitivity(setup, mtps_values))
+run_fig17a_bandwidth_sensitivity = runner_for(plan_fig17a_bandwidth_sensitivity)
 
 
 def plan_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -134,12 +121,7 @@ def plan_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig17b", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17b_prefetcher_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                      prefetchers: Sequence[str] = ("pythia", "bingo",
-                                                                    "spp", "mlop", "sms"),
-                                      ) -> Dict[str, Dict[str, float]]:
-    """Fig. 17b's payload: :func:`plan_fig17b_prefetcher_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17b_prefetcher_sensitivity(setup, prefetchers))
+run_fig17b_prefetcher_sensitivity = runner_for(plan_fig17b_prefetcher_sensitivity)
 
 
 def plan_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -178,11 +160,7 @@ def plan_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = Non
     return plan_matrix("fig17c", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17c_issue_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                         latencies: Sequence[int] = (0, 6, 12, 18, 24),
-                                         ) -> Dict[int, Dict[str, float]]:
-    """Fig. 17c's payload: :func:`plan_fig17c_issue_latency_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17c_issue_latency_sensitivity(setup, latencies))
+run_fig17c_issue_latency_sensitivity = runner_for(plan_fig17c_issue_latency_sensitivity)
 
 
 def plan_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -222,11 +200,7 @@ def plan_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = Non
     return plan_matrix("fig17d", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17d_cache_latency_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                         llc_latencies: Sequence[int] = (40, 55, 65),
-                                         ) -> Dict[int, Dict[str, float]]:
-    """Fig. 17d's payload: :func:`plan_fig17d_cache_latency_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig17d_cache_latency_sensitivity(setup, llc_latencies))
+run_fig17d_cache_latency_sensitivity = runner_for(plan_fig17d_cache_latency_sensitivity)
 
 
 def plan_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
@@ -265,12 +239,7 @@ def plan_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
     return plan_matrix("fig17e", setup or ExperimentSetup(), matrix, reduce)
 
 
-def run_fig17e_activation_threshold(setup: Optional[ExperimentSetup] = None,
-                                    thresholds: Sequence[int] = (-30, -26, -22, -18,
-                                                                 -10, -2),
-                                    ) -> Dict[int, Dict[str, float]]:
-    """Fig. 17e's payload: :func:`plan_fig17e_activation_threshold`, run and reduced."""
-    return run_plan(setup, plan_fig17e_activation_threshold(setup, thresholds))
+run_fig17e_activation_threshold = runner_for(plan_fig17e_activation_threshold)
 
 
 def plan_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -287,14 +256,11 @@ def plan_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
     Payload: ``{rob_size: {hermes, pythia, "pythia+hermes"}}`` —
     geomean speedups over the same-ROB no-prefetching baseline.
     """
-    setup = setup or ExperimentSetup()
     spec = ExperimentSpec(
         name="fig19-rob-size",
         axes=[_SYSTEM_AXIS,
               Axis("rob", [AxisPoint(f"rob{rob}", {"core.rob_size": rob})
-                           for rob in rob_sizes])],
-        workloads=setup.workload_names(),
-        accesses=setup.num_accesses)
+                           for rob in rob_sizes])])
 
     def reduce(results: Grouped) -> Dict[int, Dict[str, float]]:
         return {
@@ -306,14 +272,11 @@ def plan_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
             for rob in rob_sizes
         }
 
-    return _plan_spec("fig19", spec, reduce)
+    return plan_matrix("fig19", setup or ExperimentSetup(), spec.configs(),
+                       reduce)
 
 
-def run_fig19_rob_size_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                   rob_sizes: Sequence[int] = (256, 512, 1024),
-                                   ) -> Dict[int, Dict[str, float]]:
-    """Fig. 19's payload: :func:`plan_fig19_rob_size_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig19_rob_size_sensitivity(setup, rob_sizes))
+run_fig19_rob_size_sensitivity = runner_for(plan_fig19_rob_size_sensitivity)
 
 
 def plan_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
@@ -331,16 +294,13 @@ def plan_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
     Payload: ``{llc_size_mb: {hermes, pythia, "pythia+hermes"}}`` —
     geomean speedups over the same-size no-prefetching baseline.
     """
-    setup = setup or ExperimentSetup()
     spec = ExperimentSpec(
         name="fig20-llc-size",
         axes=[_SYSTEM_AXIS,
               Axis("llc", [AxisPoint(
                   f"llc{size_mb}MB",
                   {"hierarchy.llc.size_bytes": int(size_mb * 1024 * 1024)})
-                  for size_mb in llc_sizes_mb])],
-        workloads=setup.workload_names(),
-        accesses=setup.num_accesses)
+                  for size_mb in llc_sizes_mb])])
 
     def reduce(results: Grouped) -> Dict[float, Dict[str, float]]:
         return {
@@ -352,11 +312,8 @@ def plan_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
             for size_mb in llc_sizes_mb
         }
 
-    return _plan_spec("fig20", spec, reduce)
+    return plan_matrix("fig20", setup or ExperimentSetup(), spec.configs(),
+                       reduce)
 
 
-def run_fig20_llc_size_sensitivity(setup: Optional[ExperimentSetup] = None,
-                                   llc_sizes_mb: Sequence[float] = (3, 6, 12),
-                                   ) -> Dict[float, Dict[str, float]]:
-    """Fig. 20's payload: :func:`plan_fig20_llc_size_sensitivity`, run and reduced."""
-    return run_plan(setup, plan_fig20_llc_size_sensitivity(setup, llc_sizes_mb))
+run_fig20_llc_size_sensitivity = runner_for(plan_fig20_llc_size_sensitivity)

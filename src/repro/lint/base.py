@@ -109,10 +109,6 @@ class Project:
         #: Where the committed schema fingerprints live (RL002).
         self.fingerprints_path = fingerprints_path
 
-    def files_matching(self, suffix: str) -> List[SourceFile]:
-        """Scanned Python files whose relative path ends with ``suffix``."""
-        return [f for f in self.files if f.rel.endswith(suffix)]
-
     def file_map(self) -> Dict[str, SourceFile]:
         """All scanned files (Python and spec) keyed by relative path."""
         table = {f.rel: f for f in self.files}

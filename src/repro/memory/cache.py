@@ -200,10 +200,6 @@ class Cache:
             return block & self._set_mask
         return block % self.num_sets
 
-    @staticmethod
-    def block_of(address: int) -> int:
-        return address >> BLOCK_BITS
-
     # ------------------------------------------------------------------ #
     # Lookup / fill
     # ------------------------------------------------------------------ #

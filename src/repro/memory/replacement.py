@@ -222,10 +222,6 @@ class SHiPPolicy(ReplacementPolicy):
         self._reused = bytearray(capacity)
         self._shct: List[int] = [1] * self.SHCT_SIZE
 
-    @staticmethod
-    def _sig(pc: int) -> int:
-        return (pc ^ (pc >> 14)) & (SHiPPolicy.SHCT_SIZE - 1)
-
     def victim(self, set_index: int, valid: Sequence[bool]) -> int:
         invalid = self._first_invalid(valid)
         if invalid is not None:

@@ -69,11 +69,6 @@ class Prefetcher(ABC):
         return self.storage_bits() / 8 / 1024
 
     @staticmethod
-    def _within_page(base_address: int, candidate: int) -> bool:
-        """Prefetchers must not cross 4 KB page boundaries."""
-        return page_number(base_address) == page_number(candidate)
-
-    @staticmethod
     def _clamp_to_page(base_address: int, candidates: List[int]) -> List[int]:
         return [c for c in candidates
                 if c >= 0 and page_number(base_address) == page_number(c)]

@@ -24,11 +24,13 @@ the CLI builds its ``--figure`` choices from :data:`FIGURE_RUNNERS` at
 parse time, and ``tools/gen_experiments_index.py`` regenerates the
 EXPERIMENTS.md index from these specs, neither of which should pay for
 the simulator import chain.  Runner modules load lazily inside
-:meth:`FigureSpec.run` and :meth:`FigureSpec.plan`.
+:meth:`FigureSpec.plan`, which returns the runner's plan; both
+:meth:`FigureSpec.run` and ``repro report`` run that plan.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
@@ -62,9 +64,6 @@ class FigureSpec:
     y_label: str
     #: Benchmark file asserting this figure's shape (``benchmarks/``).
     benchmark: str
-    #: Whether the runner takes an ``ExperimentSetup`` (storage tables
-    #: are closed-form and take no arguments).
-    needs_setup: bool = True
     #: Series name for ``flat`` payloads.
     series_name: str = "value"
     #: For nested shapes: foreground only compound series with this
@@ -82,32 +81,26 @@ class FigureSpec:
         return f"Table {self.figure_id[5:]}"
 
     def run(self, setup: Optional["ExperimentSetup"] = None) -> Any:
-        """Invoke the underlying experiment runner and return its payload.
+        """Run the figure's plan through ``setup``'s runner and reduce it.
+
+        ``repro sweep --figure`` calls this; ``repro report`` batches
+        the same plans, so both paths reduce the same jobs.
+        """
+        from repro.experiments.common import run_plan
+        return run_plan(setup, self.plan(setup))
+
+    def plan(self, setup: Optional["ExperimentSetup"] = None) -> "SweepSpec":
+        """The figure's jobs and reducer: its runner's ``plan``.
 
         Imports :mod:`repro.experiments` lazily so spec metadata stays
-        cheap to load.  ``setup`` is forwarded to sweep runners and
-        ignored by the closed-form storage tables.
+        cheap to load.  ``setup`` goes to every plan that takes one;
+        the closed-form tables' plans take none.
         """
         import repro.experiments as experiments
         runner = getattr(experiments, self.runner_name)
-        if not self.needs_setup:
-            return runner()
-        return runner(setup=setup) if setup is not None else runner()
-
-    def plan(self, setup: Optional["ExperimentSetup"] = None) -> "SweepSpec":
-        """The figure's jobs and reducer, from its ``plan_*`` function.
-
-        The plan sits next to the runner in :mod:`repro.experiments`
-        (``run_fig12_...`` -> ``plan_fig12_...``).  The closed-form
-        storage tables (``needs_setup=False``) plan no jobs: their
-        reducer calls the runner.
-        """
-        import repro.experiments as experiments
-        from repro.runner.job import SweepSpec
-        if not self.needs_setup:
-            return SweepSpec(self.figure_id, [], lambda results: self.run())
-        plan = getattr(experiments, "plan_" + self.runner_name[len("run_"):])
-        return plan(setup=setup)
+        if "setup" in inspect.signature(runner).parameters:
+            return runner.plan(setup=setup)
+        return runner.plan()
 
     def collect(self, plan: "SweepSpec", results: List[Any]) -> FigureResult:
         """Reduce a plan's results and normalize the payload in one step."""
@@ -344,12 +337,11 @@ _add("fig22", "run_fig22_overhead_by_prefetcher",
 _add("table3", "run_table3_storage",
      "Hermes storage breakdown (4 KB/core)",
      "bar", "flat", "structure", "storage (KB)",
-     "test_table3_storage.py", needs_setup=False, series_name="storage_kb")
+     "test_table3_storage.py", series_name="storage_kb")
 _add("table6", "run_table6_storage",
      "Storage of every evaluated mechanism",
      "bar", "flat", "mechanism", "storage (KB)",
-     "test_table6_storage_all.py", needs_setup=False,
-     series_name="storage_kb")
+     "test_table6_storage_all.py", series_name="storage_kb")
 
 
 #: Figure id -> runner attribute, for the CLI's ``--figure`` dispatch.

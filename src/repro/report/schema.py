@@ -172,11 +172,6 @@ class FigureResult:
                 return value
         return None
 
-    def series_cells(self, series: str) -> List[Tuple[str, float]]:
-        """The ``(x, value)`` points of one series, in x order."""
-        return [(x, value) for cell_series, x, value in self.cells
-                if cell_series == series]
-
     def charted_series(self) -> List[str]:
         """The series the SVG renderer draws (``chart_series`` or all)."""
         return list(self.chart_series) if self.chart_series is not None \

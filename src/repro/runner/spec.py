@@ -28,7 +28,7 @@ becomes one configuration (labels joined with ``/``, later axes'
 overrides winning on conflict), and each configuration runs every
 workload — exactly the ``run_matrix`` shape, but serializable, diffable
 and hashable into the result cache.  ``repro sweep --spec file.toml``
-runs a spec from the shell; :meth:`ExperimentSpec.sweep` feeds the
+runs a spec from the shell; :meth:`ExperimentSpec.jobs` feeds the
 standard :class:`~repro.runner.runner.JobRunner`.
 
 Workload selection is either an explicit ``workloads`` list (catalogue
@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from repro.config.io import load_document
 from repro.config.overrides import apply_overrides
 from repro.config.schema import ConfigError
-from repro.runner.job import SimJob, SweepSpec
+from repro.runner.job import SimJob
 from repro.sim.config import SystemConfig
 
 #: Version of the experiment-spec document layout; bump on breaking
@@ -181,10 +181,6 @@ class ExperimentSpec:
 
     def workload_names(self) -> List[str]:
         return list(self.workloads)
-
-    def sweep(self) -> SweepSpec:
-        """This spec as a runnable :class:`SweepSpec` (no reducer)."""
-        return SweepSpec(name=self.name, jobs=self.jobs())
 
     def delta(self, since: "ExperimentSpec") -> Any:
         """Diff this spec's matrix against ``since``'s by content hash.

@@ -69,12 +69,6 @@ def result_to_payload(result: Any) -> Dict[str, Any]:
     }
 
 
-def jobs_to_submission(jobs: List[SimJob]) -> Dict[str, Any]:
-    """An explicit-job-list submission envelope for ``jobs``."""
-    return {"protocol": PROTOCOL_VERSION,
-            "jobs": [job.to_dict() for job in jobs]}
-
-
 def parse_submission(doc: Any) -> Tuple[List[SimJob], str]:
     """Expand a submission envelope into ``(jobs, name)``.
 

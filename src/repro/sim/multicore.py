@@ -36,10 +36,6 @@ class MultiCoreResult:
         """Sum of per-core IPC (the aggregate metric used for mix speedups)."""
         return sum(stats.ipc for stats in self.per_core)
 
-    @property
-    def total_offchip_loads(self) -> int:
-        return sum(stats.offchip_loads for stats in self.per_core)
-
     def speedup_over(self, baseline: "MultiCoreResult") -> float:
         if baseline.throughput == 0:
             return 0.0

@@ -76,6 +76,24 @@ def test_fig16_multicore_hermes_beats_pythia():
     assert table["pythia+hermes-popet"] > 0.9 * table["pythia"]
 
 
+@pytest.mark.parametrize("runner, call", [
+    (run_fig05_offchip_rate, lambda fn, setup: fn(setup)),
+    (run_fig05_offchip_rate, lambda fn, setup: fn(setup=setup)),
+    (run_fig16_multicore, lambda fn, setup: fn(
+        num_cores=2, num_mixes=1, num_accesses=500, predictors=("popet",),
+        setup=setup)),
+], ids=["positional", "keyword", "last"])
+def test_derived_runner_runs_its_plan_through_the_given_setup(tmp_path, runner,
+                                                              call):
+    setup = ExperimentSetup(num_accesses=500, per_category=1,
+                            categories=["Ligra"],
+                            result_cache_dir=tmp_path / "cache")
+    call(runner, setup)
+    keys = {job.key() for job in call(runner.plan, setup).jobs}
+    assert keys
+    assert {path.stem for path in (tmp_path / "cache").glob("*.pkl")} == keys
+
+
 def test_fig17c_issue_latency_monotonic_tendency():
     table = run_fig17c_issue_latency_sensitivity(TINY, latencies=(0, 24))
     assert table[0]["pythia+hermes"] >= table[24]["pythia+hermes"] - 0.05

@@ -191,20 +191,19 @@ class TestFigureCatalogue:
             assert (REPO_ROOT / "benchmarks" / spec.benchmark).is_file()
 
     def test_each_plan_takes_its_runners_parameters(self):
-        """``repro report`` runs a figure's plan and ``repro sweep
-        --figure`` its runner, so both must take the same options with
-        the same defaults; the closed-form tables have no plan."""
+        """Every runner, the closed-form tables' included, is derived
+        from its figure's plan: same name stem, same parameters in the
+        same order with the same defaults."""
         import inspect
 
         import repro.experiments as experiments
         for fid in figure_ids():
             spec = get_figure(fid)
-            name = "plan_" + spec.runner_name[len("run_"):]
-            if not spec.needs_setup:
-                assert not hasattr(experiments, name)
-                continue
             runner = getattr(experiments, spec.runner_name)
-            plan = getattr(experiments, name)
+            plan = getattr(experiments,
+                           "plan_" + spec.runner_name[len("run_"):])
+            assert runner.__name__ == spec.runner_name, fid
+            assert runner.plan is plan, fid
             assert (inspect.signature(plan).parameters
                     == inspect.signature(runner).parameters), fid
 
@@ -324,6 +323,17 @@ class TestSweepReportSerializationIdentity:
         assert result.payload == sweep_payload
         assert FigureResult.from_dict(
             json.loads(result.to_json())).payload == sweep_payload
+
+    def test_figure_run_reduces_the_plan_the_report_reduces(self, tmp_path):
+        from repro.experiments.common import ExperimentSetup
+        from repro.report.generate import generate_report
+        setup = ExperimentSetup(num_accesses=600, per_category=1,
+                                categories=["Ligra"],
+                                result_cache_dir=tmp_path / "cache")
+        generate_report(["fig05"], out_dir=tmp_path / "report", setup=setup)
+        document = json.loads((tmp_path / "report" / "fig05.json").read_text())
+        assert (canonical_payload(get_figure("fig05").run(setup))
+                == document["payload"])
 
     def test_int_axis_payloads_serialize_identically(self):
         # The regression: sweep dumped raw int keys (numeric sort) while
