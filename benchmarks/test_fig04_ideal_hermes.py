@@ -3,7 +3,7 @@
 from conftest import run_once
 
 from repro.analysis import format_table
-from repro.experiments import ExperimentSetup, run_fig04_ideal_hermes
+from repro.experiments import run_fig04_ideal_hermes
 
 
 def test_fig04_ideal_hermes(benchmark, small_setup):

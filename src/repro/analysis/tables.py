@@ -7,7 +7,7 @@ captured stdout.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import List, Mapping
 
 
 def format_table(title: str, rows: Mapping[str, Mapping[str, float]],

@@ -166,11 +166,7 @@ def sweep(spec: Union[ExperimentSpec, SweepSpec, Sequence[SimJob]], *,
                              result_cache_dir=cache_dir, retries=retries,
                              retry_delay=retry_delay, timeout=timeout,
                              on_error=on_error).runner()
-    if isinstance(spec, ExperimentSpec):
-        return spec.group(runner.run(spec.jobs()))
-    if isinstance(spec, SweepSpec):
-        return runner.run_sweep(spec)
-    return runner.run(list(spec))
+    return runner.run_sweep(_as_plan(spec))
 
 
 def sweep_report(spec: Union[ExperimentSpec, SweepSpec, Sequence[SimJob]], *,
@@ -195,14 +191,18 @@ def sweep_report(spec: Union[ExperimentSpec, SweepSpec, Sequence[SimJob]], *,
                              result_cache_dir=cache_dir, retries=retries,
                              retry_delay=retry_delay, timeout=timeout,
                              on_error=on_error).runner()
+    plan = _as_plan(spec)
+    return runner.run_report(plan.jobs, name=plan.name)
+
+
+def _as_plan(spec: Union[ExperimentSpec, SweepSpec, Sequence[SimJob]]
+             ) -> SweepSpec:
+    """Any sweep input as one plan; an ExperimentSpec reduces by ``group``."""
+    if isinstance(spec, SweepSpec):
+        return spec
     if isinstance(spec, ExperimentSpec):
-        jobs: Sequence[SimJob] = spec.jobs()
-        name = spec.name
-    elif isinstance(spec, SweepSpec):
-        jobs, name = spec.jobs, spec.name
-    else:
-        jobs, name = list(spec), "sweep"
-    return runner.run_report(jobs, name=name)
+        return SweepSpec(spec.name, spec.jobs(), spec.group)
+    return SweepSpec("sweep", list(spec))
 
 
 def serve(*, host: str = "127.0.0.1", port: int = 0,
@@ -228,10 +228,9 @@ def serve(*, host: str = "127.0.0.1", port: int = 0,
     wall-clock ``timeout``; with ``cache_dir`` completed jobs survive
     daemon restarts.
     """
-    policy = RetryPolicy(max_attempts=retries + 1, base_delay=retry_delay,
-                         timeout=timeout)
     service = SimService(cache_dir=cache_dir, max_workers=max_workers,
-                         retry_policy=policy)
+                         retry_policy=RetryPolicy.from_retries(
+                             retries, retry_delay, timeout))
     daemon = ServiceDaemon(service, host=host, port=port)
     daemon.start()
     return daemon

@@ -143,111 +143,122 @@ def cmd_run(args: argparse.Namespace) -> int:
 # repro sweep
 # ---------------------------------------------------------------------- #
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run a spec file, a figure runner, or an ad-hoc job matrix."""
+#: The flags that shape an ad-hoc matrix, each with the one other mode
+#: that also reads it: ``--set`` overrides a spec's base config, and
+#: ``--categories``/``--per-category`` size a figure's suite.
+_ADHOC_FLAGS = {"--workloads": None, "--prefetchers": None,
+                "--predictors": None, "--pessimistic": None,
+                "--warmup-fraction": None, "--set": "--spec",
+                "--categories": "--figure", "--per-category": "--figure"}
+
+
+def _setup(args: argparse.Namespace, **execution: Any):
+    """The ExperimentSetup of ``sweep`` and ``report``: sizing and execution."""
     from repro.experiments.common import ExperimentSetup
-
-    if args.spec is not None and args.figure is not None:
-        raise ValueError("--spec and --figure are mutually exclusive")
-    if args.resume and args.cache_dir is None:
-        raise ValueError("--resume needs --cache-dir: resume re-runs only "
-                         "the jobs missing from the checkpoint cache")
-    if args.parallel and args.backend not in (None, "process-pool"):
-        raise ValueError("--parallel is shorthand for --backend "
-                         "process-pool; drop one of the two")
-    if args.backend == "distributed":
-        if args.spec is None:
-            raise ValueError("--backend distributed runs declarative "
-                             "sweeps; give --spec FILE")
-        if args.cache_dir is None:
-            raise ValueError("--backend distributed needs --cache-dir "
-                             "SHARED — the shared directory workers join "
-                             "(see 'repro worker')")
-    if args.since_spec is not None and args.spec is None:
-        raise ValueError("--since-spec diffs two spec matrices; it "
-                         "requires --spec")
-    if args.spec is not None:
-        return _sweep_spec(args)
-    if args.backend is not None:
-        # Ad-hoc and figure modes predate --backend; map the local
-        # names onto the historical --parallel switch.
-        args.parallel = args.backend == "process-pool"
-
     setup = ExperimentSetup(parallel=args.parallel,
                             max_workers=args.max_workers,
                             result_cache_dir=args.cache_dir,
                             retries=args.retries,
                             retry_delay=args.retry_delay,
                             timeout=args.timeout,
-                            on_error=args.on_error)
+                            on_error=args.on_error, **execution)
     if args.accesses is not None:
         setup.num_accesses = args.accesses
     if args.per_category is not None:
         setup.per_category = args.per_category
     if args.categories:
         setup.categories = _split_list(args.categories)
+    return setup
 
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run a figure's plan, a spec file, or an ad-hoc job matrix.
+
+    Every mode is a job list run through the setup's one runner.
+    """
+    if args.spec is not None and args.figure is not None:
+        raise ValueError("--spec and --figure are mutually exclusive")
+    if args.resume and args.cache_dir is None:
+        raise ValueError("--resume needs --cache-dir: resume re-runs only "
+                         "the jobs missing from the checkpoint cache")
+    if args.since_spec is not None and args.spec is None:
+        raise ValueError("--since-spec diffs two spec matrices; it "
+                         "requires --spec")
+    mode = ("--spec" if args.spec is not None
+            else "--figure" if args.figure is not None else None)
+    ignored = []
+    for flag, also in _ADHOC_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        given = value is not None and value is not False
+        if given and mode not in (None, also):
+            ignored.append(flag)
+    if ignored:
+        raise ValueError(
+            f"{', '.join(ignored)} only apply to ad-hoc matrices; {mode} "
+            f"declares its own matrix (drop {mode} to sweep a custom one)")
+
+    setup = _setup(args, backend=args.backend, lease_ttl=args.lease_ttl)
+    doc: Dict[str, Any] = {}
     if args.figure is not None:
-        if args.outcomes is not None:
-            raise ValueError("--outcomes only applies to --spec and ad-hoc "
-                             "matrices; figure runners reduce their own "
-                             "sweeps internally")
-        ignored = [flag for flag, value in [
-            ("--workloads", args.workloads),
-            ("--prefetchers", args.prefetchers),
-            ("--predictors", args.predictors),
-            ("--pessimistic", args.pessimistic or None),
-            ("--warmup-fraction", args.warmup_fraction),
-            ("--set", args.set or None),
-        ] if value is not None]
-        if ignored:
-            raise ValueError(
-                f"{', '.join(ignored)} only apply to ad-hoc matrices; "
-                f"--figure {args.figure} runs the paper's own config matrix "
-                f"(drop --figure to sweep a custom matrix)")
         from repro.report.figures import get_figure
-        from repro.report.schema import canonical_payload
-        spec = get_figure(args.figure)
-        # Canonicalized up front (string keys, JSON primitives) so this
-        # output is byte-identical to the `repro report` payload section
-        # and round-trips through FigureResult.from_dict without loss —
-        # previously integer sweep axes (fig17a/c/e, fig19/20) were
-        # stringified only at dump time, so the two paths sorted their
-        # keys differently (numeric here, lexicographic there).
-        payload = canonical_payload(spec.run(setup))
-        _emit_json({"figure": args.figure, "result": payload}, args.output)
-        return 0
+        plan = get_figure(args.figure).plan(setup)
+        name, jobs = plan.name, plan.jobs
+    elif args.spec is not None:
+        spec = _load_spec(args.spec, args)
+        name, jobs = spec.name, spec.jobs()
+        doc["spec"] = spec.name
+        if args.since_spec is not None:
+            delta = spec.delta(_load_spec(args.since_spec, args))
+            jobs = delta.changed
+            doc["delta"] = delta.to_dict()
+            print(delta.summary(), file=sys.stderr)
+    else:
+        name, jobs = "adhoc", _adhoc_jobs(args, setup)
 
-    # Ad-hoc matrix mode: every (prefetcher, predictor) label over the
-    # selected workloads, one JSON row per finished job.  --set dotted
-    # overrides apply to every matrix cell.
-    from repro.config import apply_overrides, parse_override_tokens
-    from repro.runner import SimJob, jobs_for_suite
-    overrides = parse_override_tokens(args.set)
-    workloads = (_split_list(args.workloads) if args.workloads
-                 else setup.workload_names())
-    jobs: List[SimJob] = []
-    labels: List[str] = []
-    prefetchers = _split_list(args.prefetchers) if args.prefetchers else ["pythia"]
-    predictors = _split_list(args.predictors) if args.predictors else ["none"]
-    for prefetcher in prefetchers:
-        for predictor in predictors:
-            config = _build_config(prefetcher,
-                                   None if predictor == "none" else predictor,
-                                   args.pessimistic, args.warmup_fraction)
-            if overrides:
-                config = apply_overrides(config, overrides)
-            batch = jobs_for_suite(config, workloads, setup.num_accesses)
-            jobs.extend(batch)
-            labels.extend([config.label] * len(batch))
-    results, report = _run_reported(setup.runner(), jobs, "adhoc",
-                                    args.outcomes)
-    rows = _sweep_rows(labels, jobs, results, report)
+    runner = setup.runner()
+    if args.resume:
+        from repro.runner.job import job_keys
+        keys = job_keys(jobs)
+        missing = {key for key in keys if not runner.result_cache.has(key)}
+        print(f"resume: {sum(key not in missing for key in keys)} of "
+              f"{len(jobs)} job(s) already checkpointed; executing "
+              f"{len(missing)}", file=sys.stderr)
+    results, report = _run_reported(runner, jobs, name, args.outcomes)
     print(report.summary(), file=sys.stderr)
     if args.outcomes is not None:
         _emit_json(report.to_dict(), args.outcomes)
-    _emit_json({"jobs": len(rows), "rows": rows}, args.output)
+    if args.figure is not None:
+        # Canonical (string keys, JSON primitives), so this output is
+        # byte-identical to the `repro report` payload section.
+        from repro.report.schema import canonical_payload
+        doc = {"figure": args.figure,
+               "result": canonical_payload(plan.reduce(results))}
+    else:
+        rows = _sweep_rows(jobs, results, report)
+        doc.update(jobs=len(rows), rows=rows)
+    _emit_json(doc, args.output)
     return 0
+
+
+def _adhoc_jobs(args: argparse.Namespace, setup) -> List[Any]:
+    """Every (prefetcher, predictor) over the workloads, ``--set`` on each."""
+    from repro.config import apply_overrides, parse_override_tokens
+    from repro.runner import jobs_for_suite
+    overrides = parse_override_tokens(args.set)
+    workloads = (_split_list(args.workloads) if args.workloads
+                 else setup.workload_names())
+    jobs: List[Any] = []
+    for prefetcher in (_split_list(args.prefetchers) if args.prefetchers
+                       else ["pythia"]):
+        for predictor in (_split_list(args.predictors) if args.predictors
+                          else ["none"]):
+            config = _build_config(prefetcher, predictor, args.pessimistic,
+                                   args.warmup_fraction)
+            if overrides:
+                config = apply_overrides(config, overrides)
+            jobs.extend(jobs_for_suite(config, workloads,
+                                       setup.num_accesses))
+    return jobs
 
 
 def _run_reported(runner, jobs, name: str, outcomes: Optional[str]):
@@ -268,7 +279,7 @@ def _run_reported(runner, jobs, name: str, outcomes: Optional[str]):
         raise
 
 
-def _sweep_rows(labels, jobs, results, report) -> List[Dict[str, Any]]:
+def _sweep_rows(jobs, results, report) -> List[Dict[str, Any]]:
     """One JSON row per job: result stats, or the failure record.
 
     Successful rows keep their historical shape (the result's
@@ -277,8 +288,8 @@ def _sweep_rows(labels, jobs, results, report) -> List[Dict[str, Any]]:
     stub row naming the workload and what killed it instead of a hole.
     """
     rows: List[Dict[str, Any]] = []
-    for label, job, result, outcome in zip(labels, jobs, results,
-                                           report.outcomes):
+    for job, result, outcome in zip(jobs, results, report.outcomes):
+        label = job.config.label
         if result is None:
             rows.append({"config": label,
                          "workload": job.workload,
@@ -310,65 +321,6 @@ def _load_spec(path: str, args: argparse.Namespace):
     return spec
 
 
-def _sweep_spec(args: argparse.Namespace) -> int:
-    """Run a declarative spec file (``repro sweep --spec path.toml``)."""
-    from repro.runner import JobRunner, ResultCache, RetryPolicy
-    from repro.runner.backends import make_backend
-
-    ignored = [flag for flag, value in [
-        ("--workloads", args.workloads),
-        ("--prefetchers", args.prefetchers),
-        ("--predictors", args.predictors),
-        ("--pessimistic", args.pessimistic or None),
-        ("--warmup-fraction", args.warmup_fraction),
-        ("--categories", args.categories),
-        ("--per-category", args.per_category),
-    ] if value is not None]
-    if ignored:
-        raise ValueError(
-            f"{', '.join(ignored)} only apply to ad-hoc matrices; the spec "
-            f"file declares its own matrix (use --set for base-config "
-            f"overrides and --accesses for sizing)")
-
-    spec = _load_spec(args.spec, args)
-    backend_name = (args.backend if args.backend is not None
-                    else ("process-pool" if args.parallel else "serial"))
-    backend = make_backend(backend_name, max_workers=args.max_workers,
-                           shared_dir=args.cache_dir,
-                           lease_ttl=args.lease_ttl)
-    cache = (ResultCache(args.cache_dir) if args.cache_dir is not None
-             else None)
-
-    jobs = spec.jobs()
-    delta = None
-    if args.since_spec is not None:
-        delta = spec.delta(_load_spec(args.since_spec, args))
-        jobs = delta.changed
-        print(delta.summary(), file=sys.stderr)
-    if args.resume:
-        missing = [job for job in jobs if not cache.has(job.key())]
-        print(f"resume: {len(jobs) - len(missing)} of {len(jobs)} job(s) "
-              f"already checkpointed; executing {len(missing)}",
-              file=sys.stderr)
-    policy = RetryPolicy(max_attempts=args.retries + 1,
-                         base_delay=args.retry_delay,
-                         timeout=args.timeout)
-    runner = JobRunner(backend=backend, result_cache=cache,
-                       retry_policy=policy, on_error=args.on_error)
-    results, report = _run_reported(runner, jobs, spec.name, args.outcomes)
-    rows = _sweep_rows([job.config.label for job in jobs], jobs, results,
-                       report)
-    print(report.summary(), file=sys.stderr)
-    if args.outcomes is not None:
-        _emit_json(report.to_dict(), args.outcomes)
-    doc: Dict[str, Any] = {"spec": spec.name, "jobs": len(rows),
-                           "rows": rows}
-    if delta is not None:
-        doc["delta"] = delta.to_dict()
-    _emit_json(doc, args.output)
-    return 0
-
-
 # ---------------------------------------------------------------------- #
 # repro worker
 # ---------------------------------------------------------------------- #
@@ -385,12 +337,11 @@ def cmd_worker(args: argparse.Namespace) -> int:
     """
     from repro.runner import RetryPolicy
     from repro.runner.distributed import WorkerLoop
-    policy = RetryPolicy(max_attempts=args.retries + 1,
-                         base_delay=args.retry_delay,
-                         timeout=args.timeout)
     loop = WorkerLoop(args.shared_dir,
                       owner=args.owner,
-                      policy=policy,
+                      policy=RetryPolicy.from_retries(args.retries,
+                                                      args.retry_delay,
+                                                      args.timeout),
                       lease_ttl=args.lease_ttl,
                       poll_interval_s=args.poll_interval,
                       max_idle_s=args.max_idle,
@@ -417,7 +368,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     ``--cache-dir`` a second run is served entirely from the result
     cache (the final summary line prints the hit/miss counts).
     """
-    from repro.experiments.common import ExperimentSetup
     from repro.report.figures import figure_ids, get_figure
     from repro.report.generate import generate_report
 
@@ -432,21 +382,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     for figure_id in figures:
         get_figure(figure_id)  # fail fast on typos, before any simulation
 
-    setup = ExperimentSetup(parallel=args.parallel,
-                            max_workers=args.max_workers,
-                            result_cache_dir=args.cache_dir,
-                            retries=args.retries,
-                            retry_delay=args.retry_delay,
-                            timeout=args.timeout)
-    if args.accesses is not None:
-        setup.num_accesses = args.accesses
-    if args.per_category is not None:
-        setup.per_category = args.per_category
-    if args.categories:
-        setup.categories = _split_list(args.categories)
-
     formats = _split_list(args.formats) if args.formats else None
-    summary = generate_report(figures, out_dir=args.out_dir, setup=setup,
+    summary = generate_report(figures, out_dir=args.out_dir,
+                              setup=_setup(args),
                               formats=formats,
                               log=lambda line: print(line, file=sys.stderr),
                               on_error=args.on_error)
@@ -598,12 +536,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.runner import RetryPolicy
     from repro.service.server import ServiceDaemon, SimService
 
-    policy = RetryPolicy(max_attempts=args.retries + 1,
-                         base_delay=args.retry_delay,
-                         timeout=args.timeout)
     service = SimService(cache_dir=args.cache_dir,
                          max_workers=args.max_workers,
-                         retry_policy=policy)
+                         retry_policy=RetryPolicy.from_retries(
+                             args.retries, args.retry_delay, args.timeout))
     daemon = ServiceDaemon(service, host=args.host, port=args.port)
     if args.port_file is not None:
         # For scripts booting an ephemeral-port daemon: the port is
@@ -723,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # ---- sweep -------------------------------------------------------- #
     sweep = subparsers.add_parser(
-        "sweep", help="run a spec file, a figure runner, or a config x "
+        "sweep", help="run a spec file, a figure's plan, or a config x "
                       "workload job matrix")
     sweep.add_argument("--spec", default=None, metavar="FILE",
                        help="run the sweep declared in this TOML/JSON "
@@ -738,10 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "mode (not valid with --figure)")
     sweep.add_argument("--figure", choices=sorted(FIGURE_RUNNERS),
                        default=None,
-                       help="run this paper figure/table runner (with its "
-                            "own config matrix) instead of an ad-hoc matrix; "
-                            "combines with the sizing/execution knobs but "
-                            "not with --workloads/--prefetchers/--predictors")
+                       help="run this paper figure/table's plan (its own "
+                            "config matrix) and print its payload; combines "
+                            "with the sizing/execution knobs but not with "
+                            "--workloads/--prefetchers/--predictors")
     sweep.add_argument("--workloads", action="append", default=None,
                        metavar="NAME[,NAME...]",
                        help="workload names or trace file paths (default: "
@@ -771,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "process-pool with --parallel); 'distributed' "
                             "coordinates through --cache-dir SHARED, which "
                             "any number of 'repro worker SHARED' processes "
-                            "may join or leave mid-sweep (--spec mode only)")
+                            "may join or leave mid-sweep")
     sweep.add_argument("--since-spec", default=None, metavar="FILE",
                        help="delta sweep: diff the --spec matrix against "
                             "this older spec file by job content hash and "
@@ -796,8 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_resilience_flags(sweep)
     sweep.add_argument("--outcomes", default=None, metavar="FILE",
                        help="write the per-job outcome report (status/"
-                            "attempts/durations) as JSON here "
-                            "(--spec and ad-hoc modes)")
+                            "attempts/durations) as JSON here")
     sweep.add_argument("--pessimistic", action="store_true",
                        help="use Hermes-P instead of Hermes-O")
     sweep.add_argument("--warmup-fraction", type=float, default=None,
@@ -833,17 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="how long to wait for the coordinator to "
                              "create the queue (default: 30)")
-    worker.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="extra attempts per failed/timed-out job "
-                             "(default: 0)")
-    worker.add_argument("--retry-delay", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="backoff before retry n: delay * 2^(n-1) "
-                             "seconds (default: 0)")
-    worker.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-attempt wall-clock budget "
-                             "(default: unbounded)")
+    _add_retry_flags(worker)
     worker.add_argument("--output", default="-",
                         help="worker summary JSON destination "
                              "(default: stdout)")
@@ -875,8 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict the suite selection to these "
                              "categories")
     report.add_argument("--parallel", action="store_true",
-                        help="fan each figure's job matrix out over a "
-                             "process pool")
+                        help="fan the report's one job batch (every "
+                             "figure's jobs) out over a process pool")
     report.add_argument("--max-workers", type=int, default=None,
                         help="process-pool size (default: cpu count)")
     report.add_argument("--cache-dir", default=None,
@@ -1033,6 +958,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
     """Fault-tolerance knobs shared by ``sweep`` and ``report``."""
+    _add_retry_flags(parser)
+    parser.add_argument("--on-error", choices=["raise", "skip"],
+                        default="raise",
+                        help="after every job reaches a terminal outcome: "
+                             "'raise' fails the command (completed jobs "
+                             "stay checkpointed), 'skip' degrades to "
+                             "partial results with failures reported "
+                             "(default: raise)")
+
+
+def _add_retry_flags(parser: argparse.ArgumentParser) -> None:
+    """The per-job attempt budget of ``sweep``, ``report`` and ``worker``."""
     parser.add_argument("--retries", type=int, default=0, metavar="N",
                         help="extra attempts per failed/timed-out job "
                              "(default: 0 — fail fast)")
@@ -1044,13 +981,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="SECONDS",
                         help="per-attempt wall-clock budget; a breach is a "
                              "retriable timeout (default: unbounded)")
-    parser.add_argument("--on-error", choices=["raise", "skip"],
-                        default="raise",
-                        help="after every job reaches a terminal outcome: "
-                             "'raise' fails the command (completed jobs "
-                             "stay checkpointed), 'skip' degrades to "
-                             "partial results with failures reported "
-                             "(default: raise)")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

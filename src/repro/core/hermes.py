@@ -23,7 +23,7 @@ requests are visible in the overhead statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.config.schema import SerializableConfig

@@ -7,9 +7,10 @@ closed-form tables) and the reducer that turns the jobs' results into
 the payload.  Its ``run_*`` runner is derived from the plan by
 :func:`runner_for`, and ``repro report`` runs the plans of every
 requested figure as one batch.  The :class:`ExperimentSetup` decides
-how jobs execute — serially by default, or fanned out over a process
-pool with ``parallel=True``, optionally memoised on disk with
-``result_cache_dir``.
+how jobs execute — serially by default, fanned out over a process pool
+with ``parallel=True``, or on any named ``backend`` — optionally
+memoised on disk with ``result_cache_dir``.  Every sweep, figure and
+report runs through its :meth:`ExperimentSetup.runner`.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ from typing import (
 )
 
 from repro.runner import (
-    ExecutionBackend,
     JobRunner,
     PredictorSpec,
-    ProcessPoolBackend,
     ResultCache,
     RetryPolicy,
-    SerialBackend,
     SimJob,
     SweepSpec,
     jobs_for_suite,
+    make_backend,
 )
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimulationResult
@@ -60,7 +59,9 @@ class ExperimentSetup:
     emerge at the defaults).  ``parallel=True`` runs each sweep's jobs
     over a process pool (``max_workers`` bounds the pool) with results
     bit-identical to the serial default; ``result_cache_dir`` memoises
-    finished jobs on disk across runs.
+    finished jobs on disk across runs.  ``backend="distributed"``
+    coordinates the jobs through ``result_cache_dir`` instead, with
+    worker leases that age out after ``lease_ttl`` seconds.
     """
 
     num_accesses: int = 10000
@@ -78,6 +79,10 @@ class ExperimentSetup:
     retry_delay: float = 0.0
     timeout: Optional[float] = None
     on_error: str = "raise"
+    #: A :func:`~repro.runner.backends.make_backend` name; None is
+    #: ``process-pool`` with ``parallel``, else ``serial``.
+    backend: Optional[str] = None
+    lease_ttl: Optional[float] = None
 
     def workload_names(self) -> List[str]:
         """The evaluation workload names for this setup, in suite order.
@@ -89,29 +94,29 @@ class ExperimentSetup:
         return select_workload_names(categories=self.categories,
                                      per_category=self.per_category)
 
-    def make_backend(self) -> ExecutionBackend:
-        if self.parallel:
-            return ProcessPoolBackend(max_workers=self.max_workers)
-        return SerialBackend()
-
-    def retry_policy(self) -> RetryPolicy:
-        """The per-job attempt budget/backoff/timeout for this setup."""
-        return RetryPolicy(max_attempts=self.retries + 1,
-                           base_delay=self.retry_delay,
-                           timeout=self.timeout)
-
     def runner(self) -> JobRunner:
         """A job runner honouring this setup's current execution knobs.
 
-        Built fresh per call (construction is trivial; pools are created
-        per batch), so mutating ``parallel``/``max_workers``/
+        The one place execution settings become a runner.  Built fresh
+        per call (construction is trivial; pools are created per
+        batch), so mutating ``parallel``/``max_workers``/
         ``result_cache_dir`` between sweeps takes effect immediately.
         """
+        name = self.backend
+        if name is None:
+            name = "process-pool" if self.parallel else "serial"
+        elif self.parallel and name != "process-pool":
+            raise ValueError(f"parallel is shorthand for backend "
+                             f"'process-pool', not {name!r}")
+        backend = make_backend(name, max_workers=self.max_workers,
+                               shared_dir=self.result_cache_dir,
+                               lease_ttl=self.lease_ttl)
         cache = (ResultCache(self.result_cache_dir)
                  if self.result_cache_dir is not None else None)
-        return JobRunner(backend=self.make_backend(), result_cache=cache,
-                         retry_policy=self.retry_policy(),
-                         on_error=self.on_error)
+        policy = RetryPolicy.from_retries(self.retries, self.retry_delay,
+                                          self.timeout)
+        return JobRunner(backend=backend, result_cache=cache,
+                         retry_policy=policy, on_error=self.on_error)
 
     def jobs(self, config: SystemConfig,
              predictor_spec: Optional[PredictorSpec] = None) -> List[SimJob]:

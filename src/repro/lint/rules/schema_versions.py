@@ -26,7 +26,7 @@ import json
 import re
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.base import LintRule, Project, SourceFile, register_rule
+from repro.lint.base import LintRule, Project, register_rule
 from repro.lint.diagnostics import Diagnostic
 
 #: Version stamp of the fingerprint file itself.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.base import LintRule, Project, SourceFile, register_rule
+from repro.lint.base import LintRule, Project, register_rule
 from repro.lint.diagnostics import Diagnostic
 
 #: Bases known to contribute no instance ``__dict__`` and no slots.

@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.memory.address import BLOCK_SIZE, PAGE_SIZE, block_address, page_number
+from repro.memory.address import BLOCK_SIZE, block_address, page_number
 from repro.prefetchers.registry import register_prefetcher
 
 #: Shared empty candidate list — hot paths return it instead of allocating

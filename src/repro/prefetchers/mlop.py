@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List
 
-from repro.memory.address import BLOCK_SIZE, LINES_PER_PAGE, page_number
+from repro.memory.address import LINES_PER_PAGE, page_number
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.registry import register_prefetcher
 

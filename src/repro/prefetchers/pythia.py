@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.memory.address import LINES_PER_PAGE, page_number
 from repro.prefetchers.base import Prefetcher

@@ -16,8 +16,8 @@ The implementation uses the classic two-table organisation:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 from repro.memory.address import LINES_PER_PAGE, page_number
 from repro.prefetchers.base import Prefetcher

@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.memory.address import BLOCK_SIZE, LINES_PER_PAGE, page_number
+from repro.memory.address import LINES_PER_PAGE, page_number
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.registry import register_prefetcher
 

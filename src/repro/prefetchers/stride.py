@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.memory.address import BLOCK_SIZE, block_address, block_number, page_number
 from repro.prefetchers.base import Prefetcher, _NO_CANDIDATES

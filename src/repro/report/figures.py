@@ -24,8 +24,8 @@ the CLI builds its ``--figure`` choices from :data:`FIGURE_RUNNERS` at
 parse time, and ``tools/gen_experiments_index.py`` regenerates the
 EXPERIMENTS.md index from these specs, neither of which should pay for
 the simulator import chain.  Runner modules load lazily inside
-:meth:`FigureSpec.plan`, which returns the runner's plan; both
-:meth:`FigureSpec.run` and ``repro report`` run that plan.
+:meth:`FigureSpec.plan`, which returns the runner's plan; ``repro
+sweep --figure`` and ``repro report`` both run that plan.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class FigureSpec:
     def run(self, setup: Optional["ExperimentSetup"] = None) -> Any:
         """Run the figure's plan through ``setup``'s runner and reduce it.
 
-        ``repro sweep --figure`` calls this; ``repro report`` batches
-        the same plans, so both paths reduce the same jobs.
+        ``repro sweep --figure`` runs and reduces the same :meth:`plan`,
+        and ``repro report`` batches the same plans.
         """
         from repro.experiments.common import run_plan
         return run_plan(setup, self.plan(setup))

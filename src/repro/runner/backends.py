@@ -32,7 +32,8 @@ from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.execute import run_job_attempt
 from repro.runner.job import SimJob
@@ -47,10 +48,11 @@ BACKEND_NAMES = ("serial", "process-pool", "distributed")
 
 
 def make_backend(name: str, *, max_workers: Optional[int] = None,
-                 shared_dir: Optional[str] = None,
+                 shared_dir: Optional[Union[str, Path]] = None,
                  lease_ttl: Optional[float] = None) -> "ExecutionBackend":
-    """Resolve a backend by CLI name.
+    """Resolve a backend by name: the one map from name to backend class.
 
+    ``ExperimentSetup.runner()`` resolves every sweep's backend here.
     ``max_workers`` applies to ``process-pool``; ``shared_dir`` (the
     shared cache directory) and ``lease_ttl`` to ``distributed``.  The
     distributed import stays lazy so ``--help`` and the local backends

@@ -58,6 +58,13 @@ class RetryPolicy:
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
 
+    @classmethod
+    def from_retries(cls, retries: int = 0, retry_delay: float = 0.0,
+                     timeout: Optional[float] = None) -> "RetryPolicy":
+        """The policy of ``retries`` extra attempts after the first one."""
+        return cls(max_attempts=retries + 1, base_delay=retry_delay,
+                   timeout=timeout)
+
     def delay_for(self, failed_attempt: int) -> float:
         """Seconds to back off after ``failed_attempt`` (1-based) failed."""
         if failed_attempt < 1:

@@ -28,7 +28,6 @@ from repro.config.schema import SerializableConfig
 from repro.core.hermes import HermesConfig
 from repro.cpu.core import CoreConfig
 from repro.dram.config import DRAMConfig
-from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig
 
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List
 
 from repro.memory.address import BLOCK_SIZE, PAGE_SIZE
 from repro.workloads.trace import MemoryAccess, Trace

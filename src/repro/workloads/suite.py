@@ -22,7 +22,7 @@ import os
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.generators import (
     BurstyServerWorkload,

@@ -107,6 +107,40 @@ def test_sweep_figure_runner(tmp_path):
     assert payload["result"]
 
 
+def test_sweep_figure_writes_the_outcomes_ledger(tmp_path):
+    """``--outcomes`` works in figure mode and leaves the payload as is."""
+    from repro.experiments.common import ExperimentSetup
+    from repro.report.figures import get_figure
+    sizing = ("--accesses", "600", "--per-category", "1",
+              "--categories", "SPEC06,Ligra")
+    plain = tmp_path / "plain.json"
+    ledgered = tmp_path / "ledgered.json"
+    outcomes = tmp_path / "outcomes.json"
+    run_cli("sweep", "--figure", "fig05", *sizing, "--output", str(plain))
+    run_cli("sweep", "--figure", "fig05", *sizing, "--output", str(ledgered),
+            "--outcomes", str(outcomes))
+    plan = get_figure("fig05").plan(ExperimentSetup(
+        num_accesses=600, per_category=1, categories=["SPEC06", "Ligra"]))
+    doc = json.loads(outcomes.read_text())
+    assert doc["name"] == "fig05"
+    assert doc["jobs"] == doc["ok"] == len(plan.jobs) > 0
+    assert ledgered.read_bytes() == plain.read_bytes()
+
+
+def test_sweep_adhoc_distributed_matches_serial_bytes(tmp_path):
+    matrix = ("sweep", "--workloads", "ligra.bfs,spec06.stencil",
+              "--predictors", "none,popet", "--accesses", "700")
+    serial = tmp_path / "serial.json"
+    distributed = tmp_path / "distributed.json"
+    run_cli(*matrix, "--output", str(serial))
+    run_cli(*matrix, "--backend", "distributed",
+            "--cache-dir", str(tmp_path / "shared"),
+            "--output", str(distributed))
+    assert distributed.read_bytes() == serial.read_bytes()
+    proc = run_cli(*matrix, "--backend", "distributed", expect_rc=2)
+    assert b"--cache-dir" in proc.stderr
+
+
 def test_unknown_workload_fails_cleanly():
     proc = run_cli("run", "--workload", "no.such.workload", expect_rc=2)
     assert b"unknown workload" in proc.stderr

@@ -29,6 +29,7 @@ import pytest
 
 from repro.config import CONFIG_SCHEMA_VERSION, apply_overrides
 from repro.dram.config import DRAMConfig
+from repro.experiments.common import ExperimentSetup
 from repro.offchip.registry import predictor_registry
 from repro.prefetchers.registry import prefetcher_registry
 from repro.runner import (
@@ -403,6 +404,17 @@ def test_make_backend_registry():
         make_backend("distributed")
     with pytest.raises(ValueError):
         make_backend("carrier-pigeon")
+
+
+def test_setup_runner_builds_the_distributed_backend(tmp_path):
+    runner = ExperimentSetup(backend="distributed", result_cache_dir=tmp_path,
+                             lease_ttl=3.0).runner()
+    assert isinstance(runner.backend, DistributedBackend)
+    assert runner.backend.shared_dir == tmp_path
+    assert runner.backend.lease_ttl == 3.0
+    assert runner.result_cache.directory == tmp_path
+    with pytest.raises(ValueError, match="shared cache directory"):
+        ExperimentSetup(backend="distributed").runner()
 
 
 # --------------------------------------------------------------------- #

@@ -84,6 +84,11 @@ def test_retry_policy_validates_and_backs_off_exponentially():
         policy.delay_for(0)
 
 
+def test_retry_policy_from_retries_adds_the_first_attempt():
+    assert RetryPolicy.from_retries(2, 0.5, 4.0) == RetryPolicy(3, 0.5, 4.0)
+    assert RetryPolicy.from_retries() == RetryPolicy()
+
+
 def test_job_outcome_rejects_unknown_status():
     with pytest.raises(ValueError):
         JobOutcome(index=0, key="k", status="exploded", attempts=1)
@@ -466,6 +471,31 @@ def test_cli_sweep_survives_sigkill_and_resumes_byte_identical(tmp_path):
         timeout=scaled(300.0))
     assert b"resume: 2 of 3 job(s) already checkpointed" in completed.stderr
     assert resume_out.read_bytes() == base_out.read_bytes()
+
+
+def test_cli_resume_preview_counts_distinct_keys(tmp_path):
+    """A repeated workload is one key: the preview counts what executes."""
+    spec_path = tmp_path / "spec.toml"
+    spec_path.write_text(SPEC_TOML.replace(
+        '"ligra.pagerank", "cvp.server_int"',
+        '"ligra.pagerank", "spec06.stencil"').replace("1500", "600"),
+        encoding="utf-8")
+    outcomes = tmp_path / "outcomes.json"
+    first = subprocess.run(
+        _sweep_cmd(spec_path, tmp_path / "cache", tmp_path / "out.json",
+                   "--resume", "--outcomes", str(outcomes)),
+        check=True, env=_cli_env(), capture_output=True,
+        timeout=scaled(300.0))
+    assert (b"resume: 0 of 3 job(s) already checkpointed; executing 2"
+            in first.stderr)
+    assert json.loads(outcomes.read_text())["executed_attempts"] == 2
+    again = subprocess.run(
+        _sweep_cmd(spec_path, tmp_path / "cache", tmp_path / "out.json",
+                   "--resume"),
+        check=True, env=_cli_env(), capture_output=True,
+        timeout=scaled(300.0))
+    assert (b"resume: 3 of 3 job(s) already checkpointed; executing 0"
+            in again.stderr)
 
 
 def test_cli_sweep_reports_failures_with_exit_code_3(tmp_path):

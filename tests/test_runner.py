@@ -61,6 +61,21 @@ def test_process_pool_rejects_bad_worker_count():
         ProcessPoolBackend(max_workers=0)
 
 
+def test_setup_runner_resolves_its_backend_by_name():
+    assert isinstance(ExperimentSetup().runner().backend, SerialBackend)
+    for setup in (ExperimentSetup(parallel=True, max_workers=2),
+                  ExperimentSetup(backend="process-pool", max_workers=2),
+                  ExperimentSetup(parallel=True, backend="process-pool",
+                                  max_workers=2)):
+        backend = setup.runner().backend
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.max_workers == 2
+    with pytest.raises(ValueError, match="shorthand"):
+        ExperimentSetup(parallel=True, backend="serial").runner()
+    with pytest.raises(ValueError, match="unknown backend"):
+        ExperimentSetup(backend="carrier-pigeon").runner()
+
+
 def test_run_matrix_parallel_matches_serial():
     serial_setup = ExperimentSetup(num_accesses=NUM_ACCESSES, per_category=1,
                                    categories=["SPEC06", "Ligra"])
